@@ -13,13 +13,16 @@
 //! * the scratch-threaded `decompress_view_with` path is bit-identical to
 //!   `decompress_field` under heavy arena reuse,
 //! * corrupt frames (bad version, truncated table, overflowing/overlapping
-//!   lengths) error out instead of panicking for every compressor.
+//!   lengths) error out instead of panicking for every compressor,
+//! * row-band and tiled frames, plain and checksummed, keep the exact bytes
+//!   pinned by FNV-1a hash below.
 
 use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::frame::{
-    compress_framed_with, decompress_framed, decompress_framed_with, is_framed,
+    compress_framed_checksummed_with, compress_framed_with, compress_tiled_checksummed_with,
+    compress_tiled_with, decompress_framed, decompress_framed_with, is_framed,
 };
 use lcc::pressio::{
     CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena, FRAME_MAGIC, FRAME_VERSION,
@@ -296,6 +299,129 @@ fn corrupt_frames_error_for_every_compressor() {
             assert!(decode(&bad).is_err(), "{}: swapped lengths", comp.name());
         }
     }
+}
+
+/// How a pinned frame splits its field: row bands or 2D tiles.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Layout {
+    Bands(usize),
+    Tiles(usize, usize),
+}
+
+/// Encode `field` as one frame of `layout`, plain or checksummed.
+fn encode_frame(
+    comp: &dyn Compressor,
+    field: &Field2D,
+    bound: ErrorBound,
+    layout: Layout,
+    checksums: bool,
+) -> Vec<u8> {
+    let mut scratch = FrameScratch::new();
+    let view = field.view();
+    match (layout, checksums) {
+        (Layout::Bands(n), false) => {
+            compress_framed_with(comp, &view, bound, n, pool(3), &mut scratch)
+        }
+        (Layout::Bands(n), true) => {
+            compress_framed_checksummed_with(comp, &view, bound, n, pool(3), &mut scratch)
+        }
+        (Layout::Tiles(ty, tx), false) => {
+            compress_tiled_with(comp, &view, bound, ty, tx, pool(3), &mut scratch)
+        }
+        (Layout::Tiles(ty, tx), true) => {
+            compress_tiled_checksummed_with(comp, &view, bound, ty, tx, pool(3), &mut scratch)
+        }
+    }
+    .unwrap()
+}
+
+/// Decode a (framed or raw) stream into an owned field.
+fn decode_frame(comp: &dyn Compressor, stream: &[u8]) -> Field2D {
+    decompress_framed(comp, stream, pool(3)).unwrap()
+}
+
+/// FNV-1a over a stream, as the raw-codec stream-identity gate hashes.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// (variant, layout, checksummed, frame length, FNV-1a hash) of the frames
+/// of `wavy(97, 113, 42)` at an absolute bound of 1e-3.
+const PINNED_FRAMES: &[(&str, Layout, bool, usize, u64)] = &[
+    ("sz", Layout::Bands(2), false, 7633, 0x580f6982d77035a7),
+    ("sz", Layout::Bands(2), true, 7649, 0xa7b3ad8e20fbaa83),
+    ("sz", Layout::Bands(4), false, 8467, 0x8697ef2c0048eddd),
+    ("sz", Layout::Bands(4), true, 8499, 0xc198e037da895c9b),
+    ("sz", Layout::Bands(7), false, 9704, 0x68fc1dd24933292b),
+    ("sz", Layout::Bands(7), true, 9760, 0xb3ed0ec8b94fddf6),
+    ("sz", Layout::Tiles(64, 64), false, 8489, 0xb28e27359c342691),
+    ("sz", Layout::Tiles(64, 64), true, 8521, 0xe7dbe87fad510624),
+    ("sz", Layout::Tiles(48, 17), false, 13297, 0xd5363868f13b51df),
+    ("sz", Layout::Tiles(48, 17), true, 13465, 0x9fb54d3a4dcfe614),
+    ("zfp-rans8", Layout::Bands(2), false, 25016, 0xc85d76f40a9a97db),
+    ("zfp-rans8", Layout::Bands(2), true, 25032, 0x6cf2df3122f74124),
+    ("zfp-rans8", Layout::Bands(4), false, 26373, 0x5cbb0b641b1fbc43),
+    ("zfp-rans8", Layout::Bands(4), true, 26405, 0x9c43e138ec889917),
+    ("zfp-rans8", Layout::Bands(7), false, 30329, 0xd11428f8de870aa1),
+    ("zfp-rans8", Layout::Bands(7), true, 30385, 0x54604fb9bb574e24),
+    ("zfp-rans8", Layout::Tiles(64, 64), false, 26422, 0xdf3972ed56c90980),
+    ("zfp-rans8", Layout::Tiles(64, 64), true, 26454, 0xba9fd78f1ecba2f3),
+    ("zfp-rans8", Layout::Tiles(48, 17), false, 35631, 0x5e49d5e129589375),
+    ("zfp-rans8", Layout::Tiles(48, 17), true, 35799, 0x7dcca962bfd11544),
+    ("mgard", Layout::Bands(2), false, 18823, 0x5a8a7ac6528ec772),
+    ("mgard", Layout::Bands(2), true, 18839, 0xdc6c993ab3f7fc7a),
+    ("mgard", Layout::Bands(4), false, 21863, 0x20460fdfed4fe497),
+    ("mgard", Layout::Bands(4), true, 21895, 0x4e690dc04ad5298c),
+    ("mgard", Layout::Bands(7), false, 26554, 0x210dda951494c2ea),
+    ("mgard", Layout::Bands(7), true, 26610, 0x6803a17193dbfcc7),
+    ("mgard", Layout::Tiles(64, 64), false, 22103, 0x62ad2f2ab91fbba0),
+    ("mgard", Layout::Tiles(64, 64), true, 22135, 0x39a8ec8068b22977),
+    ("mgard", Layout::Tiles(48, 17), false, 33554, 0xbbe8501d33ec99ce),
+    ("mgard", Layout::Tiles(48, 17), true, 33722, 0x7650bc2d10c44af5),
+];
+
+#[test]
+fn framed_and_tiled_bytes_are_pinned() {
+    let field = wavy(97, 113, 42);
+    let bound = ErrorBound::Absolute(1e-3);
+    let variants: [(&str, Box<dyn Compressor>); 3] = [
+        ("sz", Box::new(SzCompressor::default())),
+        ("zfp-rans8", Box::new(ZfpCompressor::rans8())),
+        ("mgard", Box::new(MgardCompressor::default())),
+    ];
+    let layouts = [
+        Layout::Bands(2),
+        Layout::Bands(4),
+        Layout::Bands(7),
+        Layout::Tiles(64, 64),
+        Layout::Tiles(48, 17),
+    ];
+    let mut seen = 0;
+    for (name, comp) in &variants {
+        assert_eq!(comp.name(), *name);
+        for layout in layouts {
+            for checksums in [false, true] {
+                let frame = encode_frame(comp.as_ref(), &field, bound, layout, checksums);
+                let pinned = PINNED_FRAMES
+                    .iter()
+                    .find(|&&(n, l, c, _, _)| n == *name && l == layout && c == checksums);
+                let Some(&(_, _, _, len, hash)) = pinned else {
+                    panic!("{name} {layout:?} checksums={checksums}: no pinned frame");
+                };
+                assert_eq!(frame.len(), len, "{name} {layout:?} checksums={checksums}: length");
+                assert_eq!(fnv(&frame), hash, "{name} {layout:?} checksums={checksums}: bytes");
+                let back = decode_frame(comp.as_ref(), &frame);
+                assert!(field.max_abs_diff(&back) <= 1e-3, "{name} {layout:?}: bound violated");
+                seen += 1;
+            }
+        }
+    }
+    assert_eq!(seen, PINNED_FRAMES.len(), "every pinned frame is checked");
 }
 
 proptest! {
