@@ -5,15 +5,20 @@
 //! seekable down to the tile. Three pieces:
 //!
 //! * [`ArchiveWriter`] — appends each field as a checksummed LCCF v2 tiled
-//!   frame and lands the metadata table (names, timesteps, codec, error
+//!   frame (one [`compress_framed`](lcc_pressio::frame::compress_framed)
+//!   call with a tiled, checksummed
+//!   [`FrameSpec`](lcc_pressio::FrameSpec)) and lands the metadata table (names, timesteps, codec, error
 //!   bound, per-tile windowed statistics) at the tail, found via a
 //!   fixed-size footer.
 //! * [`Archive`] — opens any [`ReadAt`] source (in-memory bytes, a file),
 //!   validates every structural claim up front, and serves
 //!   [`read_region`](Archive::read_region): decode **only the tiles
 //!   overlapping a window**, in parallel, writing disjoint bands of the
-//!   output. Full-frame decode stays available as
-//!   [`read_entry`](Archive::read_entry).
+//!   output. Each fetched tile goes through the frame codec's own
+//!   per-block step, [`decode_block`](lcc_pressio::frame::decode_block).
+//!   Full-frame decode stays available as
+//!   [`read_entry`](Archive::read_entry), which is one
+//!   [`decompress_framed`](lcc_pressio::frame::decompress_framed) call.
 //! * [`TileCache`] — a process-wide sharded, byte-budgeted LRU of decoded
 //!   tiles, so repeated reads of hot tiles skip entropy decode entirely
 //!   and become a lock + memcpy.

@@ -6,9 +6,8 @@ use crate::format::{
     MIN_ENTRY_RECORD,
 };
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
-use lcc_lossless::xxh64;
-use lcc_par::{try_parallel_block_map, CancelToken, JobPanicked, ThreadPoolConfig};
-use lcc_pressio::frame::{decompress_framed_with, FrameWorker};
+use lcc_par::{try_parallel_block_map, CancelToken, ThreadPoolConfig};
+use lcc_pressio::frame::{decode_block, decompress_framed, FrameWorker};
 use lcc_pressio::{CompressError, Compressor, FrameScratch, TiledIndex, FRAME_MAGIC};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -151,17 +150,10 @@ struct Miss {
     cache_corrupt: bool,
 }
 
-fn expired(cancel: Option<&CancelToken>) -> bool {
-    cancel.is_some_and(|c| c.is_cancelled())
-}
-
-fn job_panic(err: JobPanicked) -> CompressError {
-    CompressError::Internal(format!("archive: {err}"))
-}
-
-/// Fetch one tile's bytes, digest-verify, and decode into `worker.block`,
-/// validating the decoded shape. Every call issues a fresh positioned read,
-/// so a retry observes the source anew rather than replaying a bad buffer.
+/// Fetch one tile's bytes with a positioned read and decode them into
+/// `worker.block` through the frame codec's per-block step (digest check,
+/// decode, shape check). Every call issues a fresh positioned read, so a
+/// retry observes the source anew rather than replaying a bad buffer.
 fn fetch_tile<R: ReadAt>(
     source: &R,
     compressor: &dyn Compressor,
@@ -170,30 +162,12 @@ fn fetch_tile<R: ReadAt>(
 ) -> Result<(), CompressError> {
     let mut buf = std::mem::take(&mut worker.arena.get_or_default::<TileReadBuf>().0);
     buf.resize(miss.len, 0);
-    let verified = source.read_at(miss.at, &mut buf).and_then(|()| match miss.digest {
-        Some(digest) if xxh64(&buf, 0) != digest => Err(CompressError::CorruptStream(format!(
-            "archive: tile {} checksum mismatch",
-            miss.tile
-        ))),
-        _ => Ok(()),
-    });
-    let decoded = verified.and_then(|()| {
-        let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
-        compressor.decompress_view_with(&buf, &mut worker.arena, block)
+    let shape = (miss.tile_win.height, miss.tile_win.width);
+    let decoded = source.read_at(miss.at, &mut buf).and_then(|()| {
+        decode_block(compressor, worker, miss.tile as usize, &buf, miss.digest, shape).map(drop)
     });
     worker.arena.get_or_default::<TileReadBuf>().0 = buf;
-    decoded?;
-    let block = worker.block.as_ref().expect("decode filled the block");
-    if block.shape() != (miss.tile_win.height, miss.tile_win.width) {
-        return Err(CompressError::CorruptStream(format!(
-            "archive: tile {} decoded to {:?}, expected ({}, {})",
-            miss.tile,
-            block.shape(),
-            miss.tile_win.height,
-            miss.tile_win.width
-        )));
-    }
-    Ok(())
+    decoded
 }
 
 impl<R: ReadAt> Archive<R> {
@@ -420,7 +394,7 @@ impl<R: ReadAt> Archive<R> {
         })?;
         let mut frame = vec![0u8; state.meta.length as usize];
         self.source.read_at(state.meta.offset, &mut frame)?;
-        decompress_framed_with(compressor, &frame, pool, scratch, out)
+        decompress_framed(compressor, &frame, pool, scratch, out, None)
     }
 
     /// Decode exactly the tiles of entry `k` overlapping `window` into
@@ -499,7 +473,7 @@ impl<R: ReadAt> Archive<R> {
         cancel: Option<&CancelToken>,
         degraded: bool,
     ) -> Result<(RegionStats, Vec<(usize, TileStatus)>), CompressError> {
-        if expired(cancel) {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(CompressError::DeadlineExceeded("archive: region read abandoned".into()));
         }
         let state = self.entries.get(k).ok_or_else(|| {
@@ -563,15 +537,14 @@ impl<R: ReadAt> Archive<R> {
             let segments = disjoint_window_rows(out.as_mut_slice(), window.width, &dst_windows);
             let items: Vec<(Miss, Vec<&mut [f64]>)> = misses.into_iter().zip(segments).collect();
             let source = &self.source;
-            let cache = self.cache.as_deref();
-            let archive_id = self.id;
+            let caching = self.cache.is_some();
             let workers = scratch.workers(pool.threads().min(items.len()));
-            let decoded: Vec<Result<(u32, TileStatus), CompressError>> = try_parallel_block_map(
+            let decoded: Vec<Result<_, CompressError>> = try_parallel_block_map(
                 pool,
                 workers,
                 items,
                 move |worker, _j, (miss, mut segs)| {
-                    if expired(cancel) {
+                    if cancel.is_some_and(CancelToken::is_cancelled) {
                         return Err(CompressError::DeadlineExceeded(format!(
                             "archive: tile {} abandoned",
                             miss.tile
@@ -585,7 +558,7 @@ impl<R: ReadAt> Archive<R> {
                         recovered = true;
                         outcome = fetch_tile(source, compressor, worker, &miss);
                     }
-                    if outcome.is_ok() && expired(cancel) {
+                    if outcome.is_ok() && cancel.is_some_and(CancelToken::is_cancelled) {
                         outcome = Err(CompressError::DeadlineExceeded(format!(
                             "archive: tile {} finished past the deadline",
                             miss.tile
@@ -603,21 +576,13 @@ impl<R: ReadAt> Archive<R> {
                             for (seg, row) in segs.iter_mut().zip(tile_view.rows()) {
                                 seg.copy_from_slice(row);
                             }
-                            if let Some(cache) = cache {
-                                cache.insert(
-                                    TileKey {
-                                        archive: archive_id,
-                                        entry: k as u32,
-                                        tile: miss.tile,
-                                    },
-                                    Arc::new(block.as_slice().to_vec()),
-                                    miss.tile_win.height,
-                                    miss.tile_win.width,
-                                );
-                            }
+                            // The caller inserts into the cache, so the LRU
+                            // order never depends on which worker finished
+                            // first.
+                            let data = caching.then(|| Arc::new(block.as_slice().to_vec()));
                             let status =
                                 if recovered { TileStatus::Recovered } else { TileStatus::Ok };
-                            Ok((miss.tile, status))
+                            Ok((miss.tile as usize, status, data))
                         }
                         Err(err)
                             if degraded && !matches!(err, CompressError::DeadlineExceeded(_)) =>
@@ -627,20 +592,33 @@ impl<R: ReadAt> Archive<R> {
                             for seg in segs.iter_mut() {
                                 seg.fill(0.0);
                             }
-                            Ok((miss.tile, TileStatus::Failed))
+                            Ok((miss.tile as usize, TileStatus::Failed, None))
                         }
                         Err(err) => Err(err),
                     }
                 },
-            )
-            .map_err(job_panic)?;
+            )?;
+            // Results come back in ascending tile order: cache every decoded
+            // tile in that order, then surface the first error, if any.
+            let mut first_error = Ok(());
             for result in decoded {
-                let (tile, status) = result?;
+                let (tile, status, data) = match result {
+                    Ok(decoded) => decoded,
+                    Err(err) => {
+                        first_error = first_error.and(Err(err));
+                        continue;
+                    }
+                };
+                if let (Some(cache), Some(data)) = (&self.cache, data) {
+                    let tile_win = index.tile_window(tile);
+                    cache.insert(self.tile_key(k, tile), data, tile_win.height, tile_win.width);
+                }
                 if status == TileStatus::Recovered {
                     stats.tiles_recovered += 1;
                 }
-                tile_status.push((tile as usize, status));
+                tile_status.push((tile, status));
             }
+            first_error?;
         }
         tile_status.sort_unstable_by_key(|&(t, _)| t);
         Ok((stats, tile_status))

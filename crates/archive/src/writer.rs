@@ -6,8 +6,8 @@ use crate::format::{
 };
 use lcc_grid::{Field2D, WindowIter};
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::frame::compress_tiled_checksummed_with;
-use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch};
+use lcc_pressio::frame::compress_framed;
+use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameLayout, FrameScratch, FrameSpec};
 
 /// Builds an LCCA archive in memory: add one entry per (field, timestep),
 /// then [`finish`](ArchiveWriter::finish) to append the entry table and
@@ -60,9 +60,9 @@ impl ArchiveWriter {
             return Err(CompressError::InvalidInput("entry name too long".into()));
         }
         let view = field.view();
-        let frame = compress_tiled_checksummed_with(
-            compressor, &view, bound, tile_ny, tile_nx, pool, scratch,
-        )?;
+        let spec =
+            FrameSpec { layout: FrameLayout::Tiles { ny: tile_ny, nx: tile_nx }, checksums: true };
+        let frame = compress_framed(compressor, &view, bound, spec, pool, scratch, None)?;
         let (ny, nx) = field.shape();
         let tile_ny = tile_ny.min(ny);
         let tile_nx = tile_nx.min(nx);

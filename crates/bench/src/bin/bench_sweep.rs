@@ -33,7 +33,7 @@ use lcc_lossless::{
     simd_level, CodecScratch, RansScratch, SimdLevel,
 };
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::{frame, ErrorBound, FrameScratch, ScratchArena};
+use lcc_pressio::{frame, ErrorBound, FrameLayout, FrameScratch, FrameSpec, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use lcc_sz::quantize::{quantize_plane_row_at, Quantizer};
 use lcc_zfp::transform::{
@@ -162,24 +162,26 @@ fn main() {
             let mut stream_len = 0usize;
             for _ in 0..reps {
                 let start = Instant::now();
-                let stream = frame::compress_framed_with(
+                let stream = frame::compress_framed(
                     compressor.as_ref(),
                     &field.view(),
                     bound,
-                    blocks,
+                    FrameSpec { layout: FrameLayout::Bands(blocks), checksums: false },
                     pool,
                     &mut frame_scratch,
+                    None,
                 )
                 .expect("framed compressor succeeds");
                 compress_seconds = compress_seconds.min(start.elapsed().as_secs_f64());
                 stream_len = stream.len();
                 let start = Instant::now();
-                frame::decompress_framed_with(
+                frame::decompress_framed(
                     compressor.as_ref(),
                     &stream,
                     pool,
                     &mut frame_scratch,
                     &mut recon,
+                    None,
                 )
                 .expect("framed stream decodes");
                 decompress_seconds = decompress_seconds.min(start.elapsed().as_secs_f64());

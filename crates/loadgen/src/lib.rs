@@ -43,7 +43,10 @@ use lcc_core::registry::{
 use lcc_fault::{take_thread_injections, FaultPlan, FaultyReadAt, CHAOS_PANIC_TAG};
 use lcc_grid::{Field2D, FieldView, Window};
 use lcc_par::{run_bounded_queue, CancelToken, ThreadPoolConfig};
-use lcc_pressio::{frame, CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
+use lcc_pressio::{
+    frame, CompressError, Compressor, ErrorBound, FrameLayout, FrameScratch, FrameSpec,
+    ScratchArena,
+};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use schedule::{Request, Schedule};
 use std::sync::Arc;
@@ -460,26 +463,22 @@ fn round_trip(
         return variant.compressor.roundtrip_with(&field.view(), bound, arena, recon);
     }
     let pool = ThreadPoolConfig::with_threads(1);
-    let compress = match variant.mode {
-        VariantMode::Framed => frame::compress_framed_with,
-        VariantMode::FramedChecksummed => frame::compress_framed_checksummed_with,
+    let checksums = match variant.mode {
+        VariantMode::Framed => false,
+        VariantMode::FramedChecksummed => true,
         VariantMode::Single => unreachable!("handled above"),
         VariantMode::Region(_) => unreachable!("region requests go through serve_region"),
     };
+    let spec = FrameSpec { layout: FrameLayout::Bands(blocks), checksums };
+    let compressor = variant.compressor.as_ref();
     let mut stream =
-        compress(variant.compressor.as_ref(), &field.view(), bound, blocks, pool, frame_scratch)?;
+        frame::compress_framed(compressor, &field.view(), bound, spec, pool, frame_scratch, None)?;
     if let Some((plan, site)) = sabotage {
         plan.corrupt_stream(site, &mut stream);
     }
     // Checksummed frames self-describe; the one decode path verifies when
     // the flag is present.
-    frame::decompress_framed_with(
-        variant.compressor.as_ref(),
-        &stream,
-        pool,
-        frame_scratch,
-        recon,
-    )?;
+    frame::decompress_framed(compressor, &stream, pool, frame_scratch, recon, None)?;
     Ok(stream)
 }
 

@@ -2,12 +2,23 @@
 //!
 //! A single field normally compresses as one sequential stream, so the
 //! latency of serving one compressibility estimate is bound to one core.
-//! This module splits a [`FieldView`] into independent **row blocks**,
-//! encodes/decodes each block on its own worker (a [`lcc_par`] scoped block
-//! map with one persistent [`ScratchArena`] per worker), and concatenates
-//! the per-block streams as length-prefixed frames under a small versioned
-//! header — the same trick production SZ3/ZFP builds use to scale a single
-//! field across cores.
+//! This module splits a [`FieldView`] into independent blocks — row bands
+//! or 2D tiles — encodes/decodes each block on its own worker (a
+//! [`lcc_par`] scoped block map with one persistent [`ScratchArena`] per
+//! worker), and concatenates the per-block streams as length-prefixed
+//! frames under a small versioned header — the same trick production
+//! SZ3/ZFP builds use to scale a single field across cores.
+//!
+//! ## Entry points
+//!
+//! [`compress_framed`] encodes a view under a [`FrameSpec`]: its
+//! [`FrameLayout`] picks row bands (format v1) or tiles (format v2), and
+//! its `checksums` flag adds the per-block digest table.
+//! [`decompress_framed`] decodes every stream either writes — and raw
+//! inner-codec streams — from the header alone. Both poll an optional
+//! [`CancelToken`] before every block. [`decode_block`] is the per-block
+//! step (digest check, block decode, shape check) that the whole-frame
+//! decoder and the archive's region reads share.
 //!
 //! ## Frame format (version 1)
 //!
@@ -76,9 +87,9 @@
 //! A **single-block** "frame" is, by definition, the inner compressor's raw
 //! stream with no header at all — byte-identical to what
 //! [`Compressor::compress_view`] produces today, so every stream written
-//! before this container existed decodes through [`decompress_framed_with`]
+//! before this container existed decodes through [`decompress_framed`]
 //! unchanged, and the bit-identity/stream-identity fixture suites pin the
-//! same bytes they always have. [`decompress_framed_with`] dispatches on the
+//! same bytes they always have. [`decompress_framed`] dispatches on the
 //! magic: no `LCCF` prefix means passthrough. The magic cannot collide with
 //! the inner codecs' streams (SZ/MGARD Huffman streams open with an LZ77
 //! varint whose next byte is a token tag of `0x00`/`0x01`, never `b'C'`;
@@ -104,19 +115,13 @@
 use crate::{CompressError, Compressor, ErrorBound, ScratchArena};
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window, WindowIter};
 use lcc_lossless::xxh64;
-use lcc_par::{split_ranges, try_parallel_block_map, CancelToken, JobPanicked, ThreadPoolConfig};
+use lcc_par::{split_ranges, try_parallel_block_map, CancelToken, ThreadPoolConfig};
 use std::sync::Mutex;
-
-/// A panicking block job, isolated per job by `lcc_par`, surfaces as an
-/// internal error instead of aborting the process.
-fn job_panic(err: JobPanicked) -> CompressError {
-    CompressError::Internal(format!("frame: {err}"))
-}
 
 /// True when an optional cancellation token has fired — the per-block check
 /// both the encoder and decoder poll before touching a block.
 fn expired(cancel: Option<&CancelToken>) -> bool {
-    cancel.is_some_and(|c| c.is_cancelled())
+    cancel.is_some_and(CancelToken::is_cancelled)
 }
 
 /// Magic prefix of a version-1 multi-block frame.
@@ -146,6 +151,33 @@ const MIN_CELLS_PER_BLOCK: usize = 1 << 16;
 /// cap only trips on forged headers trying to turn a tiny stream into a
 /// huge `out` allocation.
 const MAX_CELLS_PER_STREAM_BYTE: usize = 1 << 16;
+
+/// How a frame splits its field into independently coded blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameLayout {
+    /// `n` row bands split by [`split_ranges`] (format v1), clamped to the
+    /// row count.
+    Bands(usize),
+    /// `ny × nx` tiles in row-major tile order (format v2), clamped to the
+    /// field; the length table doubles as a seek index.
+    Tiles {
+        /// Tile height (edge tiles may be shorter).
+        ny: usize,
+        /// Tile width (edge tiles may be narrower).
+        nx: usize,
+    },
+}
+
+/// Everything [`compress_framed`] needs to know about the frame to write:
+/// the block layout and whether each block's XXH64 digest is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameSpec {
+    /// Row bands (v1) or tiles (v2).
+    pub layout: FrameLayout,
+    /// Store a per-block digest table ([`FLAG_CHECKSUM`]), verified before
+    /// each block decodes.
+    pub checksums: bool,
+}
 
 /// Per-worker state of the framed codec, persistent across calls: one
 /// scratch arena (the inner compressor's buffers) plus one reusable decode
@@ -201,177 +233,66 @@ pub fn is_framed(stream: &[u8]) -> bool {
     stream.len() >= HEADER_LEN && stream[..4] == FRAME_MAGIC
 }
 
-/// Compress a view as a multi-block frame with an automatically chosen
-/// block count, fresh scratch, and the given pool width.
+/// Compress a view as a frame laid out by `spec`, encoding blocks in
+/// parallel over `pool` with per-worker arenas from `scratch`.
+///
+/// A layout that collapses to a single block emits the inner compressor's
+/// raw stream (the version-0 passthrough), byte-identical to
+/// [`Compressor::compress_view`] — with or without `checksums`, since a
+/// raw stream has no header to hang a digest off. Zero tile dimensions are
+/// [`CompressError::InvalidInput`]. The produced stream is independent of
+/// the pool width — only wall time changes with `pool`.
+///
+/// `cancel` is polled before every block encodes, so an expired deadline
+/// abandons the frame at block granularity with
+/// [`CompressError::DeadlineExceeded`].
 pub fn compress_framed(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
     bound: ErrorBound,
-    pool: ThreadPoolConfig,
-) -> Result<Vec<u8>, CompressError> {
-    let blocks = auto_block_count(view.ny(), view.nx(), pool.threads());
-    compress_framed_with(compressor, view, bound, blocks, pool, &mut FrameScratch::new())
-}
-
-/// Compress a view as a `blocks`-block frame, encoding blocks in parallel
-/// over `pool` with per-worker arenas from `scratch`.
-///
-/// `blocks` is clamped to the row count; a clamped-or-requested count of 1
-/// emits the inner compressor's raw stream (the version-0 passthrough), so
-/// single-block output is byte-identical to [`Compressor::compress_view`].
-/// The produced stream is independent of the pool width — only wall time
-/// changes with `pool`.
-pub fn compress_framed_with(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    blocks: usize,
+    spec: FrameSpec,
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
-) -> Result<Vec<u8>, CompressError> {
-    compress_framed_impl(compressor, view, bound, blocks, pool, scratch, false, None)
-}
-
-/// [`compress_framed_with`] under a [`CancelToken`]: the token is polled
-/// before every block encodes, so an expired deadline abandons the frame at
-/// block granularity with [`CompressError::DeadlineExceeded`] — in-flight
-/// sibling blocks stop as soon as they observe the token.
-#[allow(clippy::too_many_arguments)]
-pub fn compress_framed_deadline_with(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    blocks: usize,
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    cancel: &CancelToken,
-) -> Result<Vec<u8>, CompressError> {
-    compress_framed_impl(compressor, view, bound, blocks, pool, scratch, false, Some(cancel))
-}
-
-/// [`compress_framed_with`] plus a per-block XXH64 digest table: the
-/// version byte gains [`FLAG_CHECKSUM`] and every block's compressed bytes
-/// are hashed on the worker that encoded them, so
-/// [`decompress_framed_with`] can reject corruption before block decode.
-///
-/// A single-block output is still the inner compressor's raw stream —
-/// passthrough streams carry no frame header to hang a digest off, and
-/// keeping them byte-identical to [`Compressor::compress_view`] is the
-/// stronger invariant.
-pub fn compress_framed_checksummed_with(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    blocks: usize,
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-) -> Result<Vec<u8>, CompressError> {
-    compress_framed_impl(compressor, view, bound, blocks, pool, scratch, true, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn compress_framed_impl(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    blocks: usize,
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    checksum: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<u8>, CompressError> {
     if expired(cancel) {
         return Err(CompressError::DeadlineExceeded("frame: encode abandoned".into()));
     }
     let (ny, nx) = view.shape();
-    let blocks = blocks.clamp(1, ny);
-    if blocks == 1 {
-        return compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena);
-    }
-
-    let ranges = split_ranges(ny, blocks);
-    let sub_views: Vec<FieldView<'_>> =
-        ranges.iter().map(|r| view.subview(r.start, 0, r.len(), nx)).collect();
-    let n_blocks = sub_views.len();
-
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&FRAME_MAGIC);
-    header.push(if checksum { FRAME_VERSION | FLAG_CHECKSUM } else { FRAME_VERSION });
-    header.extend_from_slice(&(ny as u64).to_le_bytes());
-    header.extend_from_slice(&(nx as u64).to_le_bytes());
-    header.extend_from_slice(&(n_blocks as u32).to_le_bytes());
-    encode_blocks(compressor, sub_views, bound, pool, scratch, checksum, header, cancel)
-}
-
-/// Compress a view as a v2 **tiled** frame: blocks are `tile_ny × tile_nx`
-/// rectangles covering the field in row-major tile order (exactly
-/// [`WindowIter::over`]'s tiling), so the length table doubles as a seek
-/// index over the tiles. Tile dims are clamped to the field; a tiling that
-/// collapses to a single tile emits the inner compressor's raw stream,
-/// byte-identical to [`Compressor::compress_view`]. The produced stream is
-/// independent of the pool width.
-pub fn compress_tiled_with(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    tile_ny: usize,
-    tile_nx: usize,
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-) -> Result<Vec<u8>, CompressError> {
-    compress_tiled_impl(compressor, view, bound, tile_ny, tile_nx, pool, scratch, false)
-}
-
-/// [`compress_tiled_with`] plus the per-tile XXH64 digest table of
-/// [`compress_framed_checksummed_with`]: the version byte carries both
-/// `FLAG_TILED` and `FLAG_CHECKSUM`, and every tile's digest is verified
-/// before that tile decodes — including single-tile region reads.
-#[allow(clippy::too_many_arguments)]
-pub fn compress_tiled_checksummed_with(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    tile_ny: usize,
-    tile_nx: usize,
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-) -> Result<Vec<u8>, CompressError> {
-    compress_tiled_impl(compressor, view, bound, tile_ny, tile_nx, pool, scratch, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn compress_tiled_impl(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    tile_ny: usize,
-    tile_nx: usize,
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    checksum: bool,
-) -> Result<Vec<u8>, CompressError> {
-    if tile_ny == 0 || tile_nx == 0 {
-        return Err(CompressError::InvalidInput("tile dimensions must be non-zero".into()));
-    }
-    let (ny, nx) = view.shape();
-    let tile_ny = tile_ny.min(ny);
-    let tile_nx = tile_nx.min(nx);
-    let windows: Vec<Window> = WindowIter::over(ny, nx, tile_ny, tile_nx).collect();
+    let (windows, tile_dims): (Vec<Window>, _) = match spec.layout {
+        FrameLayout::Bands(n) => {
+            let bands = split_ranges(ny, n.clamp(1, ny)).into_iter();
+            (
+                bands.map(|r| Window { i0: r.start, j0: 0, height: r.len(), width: nx }).collect(),
+                None,
+            )
+        }
+        FrameLayout::Tiles { ny: 0, .. } | FrameLayout::Tiles { nx: 0, .. } => {
+            return Err(CompressError::InvalidInput("tile dimensions must be non-zero".into()));
+        }
+        FrameLayout::Tiles { ny: tile_ny, nx: tile_nx } => {
+            let (tile_ny, tile_nx) = (tile_ny.min(ny), tile_nx.min(nx));
+            (WindowIter::over(ny, nx, tile_ny, tile_nx).collect(), Some((tile_ny, tile_nx)))
+        }
+    };
     if windows.len() == 1 {
         return compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena);
     }
-    let sub_views: Vec<FieldView<'_>> = windows.iter().map(|w| view.window(w)).collect();
-    let n_blocks = sub_views.len();
 
     let mut header = Vec::with_capacity(TILED_HEADER_LEN);
     header.extend_from_slice(&FRAME_MAGIC);
-    header.push(FRAME_VERSION | FLAG_TILED | if checksum { FLAG_CHECKSUM } else { 0 });
+    let checksum_flag = if spec.checksums { FLAG_CHECKSUM } else { 0 };
+    let tiled_flag = if tile_dims.is_some() { FLAG_TILED } else { 0 };
+    header.push(FRAME_VERSION | tiled_flag | checksum_flag);
     header.extend_from_slice(&(ny as u64).to_le_bytes());
     header.extend_from_slice(&(nx as u64).to_le_bytes());
-    header.extend_from_slice(&(n_blocks as u32).to_le_bytes());
-    header.extend_from_slice(&(tile_ny as u32).to_le_bytes());
-    header.extend_from_slice(&(tile_nx as u32).to_le_bytes());
-    encode_blocks(compressor, sub_views, bound, pool, scratch, checksum, header, None)
+    header.extend_from_slice(&(windows.len() as u32).to_le_bytes());
+    if let Some((tile_ny, tile_nx)) = tile_dims {
+        header.extend_from_slice(&(tile_ny as u32).to_le_bytes());
+        header.extend_from_slice(&(tile_nx as u32).to_le_bytes());
+    }
+    let sub_views = windows.iter().map(|w| view.window(w)).collect();
+    encode_blocks(compressor, sub_views, bound, pool, scratch, spec.checksums, header, cancel)
 }
 
 /// Encode `sub_views` as the blocks of a frame whose fixed header is
@@ -427,8 +348,7 @@ fn encode_blocks(
             })
         };
         assembler.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).submit(b, result);
-    })
-    .map_err(job_panic)?;
+    })?;
 
     let assembler = assembler.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
     match assembler.error {
@@ -488,6 +408,99 @@ impl FrameAssembler {
     }
 }
 
+/// A [`CompressError::CorruptStream`] naming the frame layer.
+fn corrupt(msg: &str) -> CompressError {
+    CompressError::CorruptStream(format!("frame: {msg}"))
+}
+
+/// The `(ny, nx, n_blocks)` fields every frame header opens with, checked
+/// to describe a non-empty field whose cell count fits a `usize`.
+fn header_shape(prefix: &[u8]) -> Result<(usize, usize, usize), CompressError> {
+    let ny = usize::try_from(u64::from_le_bytes(prefix[5..13].try_into().unwrap()))
+        .map_err(|_| corrupt("row count overflows usize"))?;
+    let nx = usize::try_from(u64::from_le_bytes(prefix[13..21].try_into().unwrap()))
+        .map_err(|_| corrupt("column count overflows usize"))?;
+    let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
+    if ny == 0 || nx == 0 {
+        return Err(corrupt("empty field shape"));
+    }
+    ny.checked_mul(nx).ok_or_else(|| corrupt("cell count overflows usize"))?;
+    Ok((ny, nx, n_blocks))
+}
+
+/// End of the length (and, when `checksummed`, digest) tables of `n_blocks`
+/// blocks starting at `table_at`, checked against the frame size so a
+/// forged block count cannot demand more bytes than the frame holds.
+fn table_end(
+    table_at: usize,
+    n_blocks: usize,
+    checksummed: bool,
+    frame_len: usize,
+) -> Result<usize, CompressError> {
+    let per_block = if checksummed { 16 } else { 8 };
+    n_blocks
+        .checked_mul(per_block)
+        .and_then(|t| t.checked_add(table_at))
+        .filter(|&t| t <= frame_len)
+        .ok_or_else(|| corrupt(&format!("block table for {n_blocks} blocks exceeds stream")))
+}
+
+/// The block tables of a frame, shared by the v1 and v2 parsers.
+struct BlockTables {
+    body_at: usize,
+    lengths: Vec<usize>,
+    offsets: Vec<usize>,
+    digests: Option<Vec<u64>>,
+}
+
+/// Read the length (and digest) tables of `n_blocks` blocks starting at
+/// `table_at` in `prefix`. The lengths must sum exactly to the `frame_len`
+/// bytes after the tables, and the `cells` the header claims must be
+/// plausible for that payload: even a constant field costs the inner codecs
+/// well over one stream byte per 64 Ki cells, so a header claiming more is
+/// forged — rejected before any output is sized by the claim.
+fn read_tables(
+    prefix: &[u8],
+    table_at: usize,
+    n_blocks: usize,
+    checksummed: bool,
+    frame_len: usize,
+    cells: usize,
+) -> Result<BlockTables, CompressError> {
+    let body_at = table_end(table_at, n_blocks, checksummed, frame_len)?;
+    if prefix.len() < body_at {
+        return Err(corrupt("block table truncated"));
+    }
+    let mut lengths = Vec::with_capacity(n_blocks);
+    let mut offsets = Vec::with_capacity(n_blocks);
+    let mut at = body_at;
+    for entry in prefix[table_at..table_at + 8 * n_blocks].chunks_exact(8) {
+        let len = usize::try_from(u64::from_le_bytes(entry.try_into().unwrap()))
+            .map_err(|_| corrupt("block length overflows usize"))?;
+        offsets.push(at);
+        at = at.checked_add(len).ok_or_else(|| corrupt("block lengths overflow"))?;
+        lengths.push(len);
+    }
+    if at != frame_len {
+        return Err(corrupt(&format!(
+            "block lengths end at byte {at} but the frame holds {frame_len}"
+        )));
+    }
+    if cells > (frame_len - body_at).saturating_mul(MAX_CELLS_PER_STREAM_BYTE) {
+        return Err(corrupt(&format!(
+            "claimed {cells} cells exceed the plausible yield of {} payload bytes",
+            frame_len - body_at
+        )));
+    }
+    let digests = checksummed.then(|| {
+        prefix[table_at + 8 * n_blocks..body_at]
+            .chunks_exact(8)
+            .map(|e| u64::from_le_bytes(e.try_into().unwrap()))
+            .collect()
+    });
+    Ok(BlockTables { body_at, lengths, offsets, digests })
+}
+
 /// Parsed header + seek index of a v2 tiled frame: everything a reader
 /// needs to locate one tile's compressed bytes without touching the rest of
 /// the stream. Parsing consumes only the frame's leading bytes — read
@@ -527,7 +540,6 @@ impl TiledIndex {
     /// against the total frame length so a forged block count cannot demand
     /// more bytes than the frame holds.
     pub fn table_span(prefix: &[u8], frame_len: usize) -> Result<usize, CompressError> {
-        let corrupt = |msg: &str| CompressError::CorruptStream(format!("frame: {msg}"));
         if prefix.len() < TILED_HEADER_LEN || prefix[..4] != FRAME_MAGIC {
             return Err(corrupt("tiled header truncated or missing magic"));
         }
@@ -535,13 +547,8 @@ impl TiledIndex {
         {
             return Err(corrupt(&format!("version byte {:#04x} is not a tiled frame", prefix[4])));
         }
-        let per_block = if prefix[4] & FLAG_CHECKSUM != 0 { 16 } else { 8 };
         let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
-        n_blocks
-            .checked_mul(per_block)
-            .and_then(|t| t.checked_add(TILED_HEADER_LEN))
-            .filter(|&t| t <= frame_len)
-            .ok_or_else(|| corrupt(&format!("tile table for {n_blocks} tiles exceeds stream")))
+        table_end(TILED_HEADER_LEN, n_blocks, prefix[4] & FLAG_CHECKSUM != 0, frame_len)
     }
 
     /// Parse the seek index from a tiled frame's leading bytes. `prefix`
@@ -551,22 +558,11 @@ impl TiledIndex {
     /// by it is allocated, so a forged header costs at most one bounded
     /// table read.
     pub fn parse(prefix: &[u8], frame_len: usize) -> Result<TiledIndex, CompressError> {
-        let corrupt = |msg: &str| CompressError::CorruptStream(format!("frame: {msg}"));
-        let span = Self::table_span(prefix, frame_len)?;
-        if prefix.len() < span {
-            return Err(corrupt("tile table truncated"));
-        }
+        Self::table_span(prefix, frame_len)?;
         let checksummed = prefix[4] & FLAG_CHECKSUM != 0;
-        let ny = usize::try_from(u64::from_le_bytes(prefix[5..13].try_into().unwrap()))
-            .map_err(|_| corrupt("row count overflows usize"))?;
-        let nx = usize::try_from(u64::from_le_bytes(prefix[13..21].try_into().unwrap()))
-            .map_err(|_| corrupt("column count overflows usize"))?;
-        let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
+        let (ny, nx, n_blocks) = header_shape(prefix)?;
         let tile_ny = u32::from_le_bytes(prefix[25..29].try_into().unwrap()) as usize;
         let tile_nx = u32::from_le_bytes(prefix[29..33].try_into().unwrap()) as usize;
-        if ny == 0 || nx == 0 {
-            return Err(corrupt("empty field shape"));
-        }
         if tile_ny == 0 || tile_nx == 0 || tile_ny > ny || tile_nx > nx {
             return Err(corrupt(&format!(
                 "tile shape {tile_ny}x{tile_nx} invalid for a {ny}x{nx} field"
@@ -585,49 +581,10 @@ impl TiledIndex {
                  with {tile_ny}x{tile_nx} tiles (expected {tiles})"
             )));
         }
-        let mut lengths = Vec::with_capacity(n_blocks);
-        let mut offsets = Vec::with_capacity(n_blocks);
-        let mut at = span;
-        for entry in prefix[TILED_HEADER_LEN..TILED_HEADER_LEN + 8 * n_blocks].chunks_exact(8) {
-            let len = usize::try_from(u64::from_le_bytes(entry.try_into().unwrap()))
-                .map_err(|_| corrupt("tile length overflows usize"))?;
-            offsets.push(at);
-            at = at.checked_add(len).ok_or_else(|| corrupt("tile lengths overflow"))?;
-            lengths.push(len);
-        }
-        if at != frame_len {
-            return Err(corrupt(&format!(
-                "tile lengths end at byte {at} but the frame holds {frame_len}"
-            )));
-        }
-        // Same decode-side allocation guard as v1: the claimed cell count
-        // must be plausible for the actual payload bytes.
-        let cells = ny.checked_mul(nx).ok_or_else(|| corrupt("cell count overflows usize"))?;
-        if cells > (frame_len - span).saturating_mul(MAX_CELLS_PER_STREAM_BYTE) {
-            return Err(corrupt(&format!(
-                "claimed {cells} cells exceed the plausible yield of {} payload bytes",
-                frame_len - span
-            )));
-        }
-        let digests = checksummed.then(|| {
-            prefix[TILED_HEADER_LEN + 8 * n_blocks..span]
-                .chunks_exact(8)
-                .map(|e| u64::from_le_bytes(e.try_into().unwrap()))
-                .collect()
-        });
-        Ok(TiledIndex {
-            ny,
-            nx,
-            tile_ny,
-            tile_nx,
-            checksummed,
-            body_at: span,
-            lengths,
-            offsets,
-            digests,
-        })
+        let BlockTables { body_at, lengths, offsets, digests } =
+            read_tables(prefix, TILED_HEADER_LEN, n_blocks, checksummed, frame_len, ny * nx)?;
+        Ok(TiledIndex { ny, nx, tile_ny, tile_nx, checksummed, body_at, lengths, offsets, digests })
     }
-
     /// Number of tiles (== frame blocks).
     pub fn n_tiles(&self) -> usize {
         self.lengths.len()
@@ -681,55 +638,102 @@ impl TiledIndex {
     }
 }
 
-/// Decompress a (framed or raw) stream with fresh scratch, returning an
-/// owned field.
-pub fn decompress_framed(
-    compressor: &dyn Compressor,
-    stream: &[u8],
-    pool: ThreadPoolConfig,
-) -> Result<Field2D, CompressError> {
-    let mut out = Field2D::zeros(1, 1);
-    decompress_framed_with(compressor, stream, pool, &mut FrameScratch::new(), &mut out)?;
-    Ok(out)
+/// One block of a parsed frame: the field rectangle it covers, its
+/// compressed bytes, and its XXH64 digest when the frame carries them.
+struct Block<'a> {
+    window: Window,
+    bytes: &'a [u8],
+    digest: Option<u64>,
 }
 
-/// Decompress a stream that may be a multi-block frame or a raw single
-/// stream, decoding blocks in parallel over `pool` with per-worker arenas
-/// and reusable block fields from `scratch`. `out` is resized to the decoded
-/// shape; raw streams pass straight through to
-/// [`Compressor::decompress_view_with`].
-///
-/// Frame validation is strict and allocates nothing proportional to claimed
-/// sizes before the claims are checked against the actual stream length:
-/// unknown version bytes, a block table that exceeds the remaining bytes,
-/// and block lengths that overflow or do not sum exactly to the remaining
+/// Parse a v1 (row bands) or v2 (tiles) frame header into the field shape
+/// and one list of blocks. Validation is strict and allocates nothing
+/// proportional to claimed sizes before the claims are checked against the
+/// actual stream length: unknown version bytes, tables that exceed the
+/// stream, and block lengths that overflow or do not sum exactly to the
 /// payload all return [`CompressError::CorruptStream`].
-pub fn decompress_framed_with(
-    compressor: &dyn Compressor,
-    stream: &[u8],
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    out: &mut Field2D,
-) -> Result<(), CompressError> {
-    decompress_framed_cancel(compressor, stream, pool, scratch, out, None)
+fn parse_blocks(stream: &[u8]) -> Result<(usize, usize, Vec<Block<'_>>), CompressError> {
+    // The version byte carries flag bits above the version number; mask
+    // the known flags off before comparing so checksummed (0x41), tiled
+    // (0x21) and plain (0x01) frames all decode — and so plain v1 streams
+    // keep decoding forever, whatever flags later encoders add to *new*
+    // streams.
+    if stream[4] & !(FLAG_CHECKSUM | FLAG_TILED) != FRAME_VERSION {
+        return Err(corrupt(&format!("unsupported version byte {:#04x}", stream[4])));
+    }
+    let (ny, nx, windows, tables): (_, _, Vec<Window>, _) = if stream[4] & FLAG_TILED != 0 {
+        let index = TiledIndex::parse(stream, stream.len())?;
+        let windows = (0..index.n_tiles()).map(|t| index.tile_window(t)).collect();
+        let TiledIndex { ny, nx, body_at, lengths, offsets, digests, .. } = index;
+        (ny, nx, windows, BlockTables { body_at, lengths, offsets, digests })
+    } else {
+        let (ny, nx, n_blocks) = header_shape(stream)?;
+        if n_blocks < 2 || n_blocks > ny {
+            // The encoder never writes single-block frames (those are raw
+            // passthrough streams), so a framed header claiming < 2 blocks
+            // is corrupt by construction.
+            return Err(corrupt(&format!("block count {n_blocks} invalid for {ny} rows")));
+        }
+        let checksummed = stream[4] & FLAG_CHECKSUM != 0;
+        let tables = read_tables(stream, HEADER_LEN, n_blocks, checksummed, stream.len(), ny * nx)?;
+        let bands = split_ranges(ny, n_blocks).into_iter();
+        let windows = bands.map(|r| Window { i0: r.start, j0: 0, height: r.len(), width: nx });
+        (ny, nx, windows.collect(), tables)
+    };
+    let blocks = windows
+        .into_iter()
+        .enumerate()
+        .map(|(b, window)| Block {
+            window,
+            bytes: &stream[tables.offsets[b]..tables.offsets[b] + tables.lengths[b]],
+            digest: tables.digests.as_ref().map(|d| d[b]),
+        })
+        .collect();
+    Ok((ny, nx, blocks))
 }
 
-/// [`decompress_framed_with`] under a [`CancelToken`], polled before every
-/// block/tile decodes: an expired deadline returns
-/// [`CompressError::DeadlineExceeded`] at block granularity and sibling
-/// workers stop early. `out` holds unspecified contents after an error.
-pub fn decompress_framed_deadline_with(
+/// The per-block decode step every framed read shares — whole-frame
+/// decodes and the archive's region reads alike. Verifies block `b`'s
+/// XXH64 `digest` (when the frame carries one) *before* the inner decoder
+/// touches `bytes`, so corruption surfaces as a crisp checksum error rather
+/// than a garbled entropy decode or a silently wrong field; then decodes
+/// into `worker`'s reusable block field and checks the decoded shape
+/// against the block's `(rows, cols)`. Returns the decoded block.
+pub fn decode_block<'w>(
     compressor: &dyn Compressor,
-    stream: &[u8],
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    out: &mut Field2D,
-    cancel: &CancelToken,
-) -> Result<(), CompressError> {
-    decompress_framed_cancel(compressor, stream, pool, scratch, out, Some(cancel))
+    worker: &'w mut FrameWorker,
+    b: usize,
+    bytes: &[u8],
+    digest: Option<u64>,
+    shape: (usize, usize),
+) -> Result<&'w Field2D, CompressError> {
+    if digest.is_some_and(|d| xxh64(bytes, 0) != d) {
+        return Err(corrupt(&format!("block {b} checksum mismatch")));
+    }
+    let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
+    compressor.decompress_view_with(bytes, &mut worker.arena, block)?;
+    if block.shape() != shape {
+        return Err(corrupt(&format!(
+            "block {b} decoded to {:?}, expected {shape:?}",
+            block.shape()
+        )));
+    }
+    Ok(block)
 }
 
-fn decompress_framed_cancel(
+/// Decompress a stream that may be a v1 or v2 frame, plain or checksummed,
+/// or a raw single stream, decoding blocks in parallel over `pool` with
+/// per-worker arenas and reusable block fields from `scratch`. `out` is
+/// resized to the decoded shape; raw streams pass straight through to
+/// [`Compressor::decompress_view_with`]. Each block decodes on its own
+/// worker ([`decode_block`]) straight into its disjoint rectangle of `out`
+/// ([`disjoint_window_rows`] — safe `split_at_mut` slicing, no aliasing).
+///
+/// `cancel` is polled before every block decodes: an expired deadline
+/// returns [`CompressError::DeadlineExceeded`] at block granularity and
+/// sibling workers stop early. `out` holds unspecified contents after an
+/// error.
+pub fn decompress_framed(
     compressor: &dyn Compressor,
     stream: &[u8],
     pool: ThreadPoolConfig,
@@ -743,184 +747,24 @@ fn decompress_framed_cancel(
     if !is_framed(stream) {
         return compressor.decompress_view_with(stream, &mut scratch.workers(1)[0].arena, out);
     }
-    let corrupt = |msg: &str| CompressError::CorruptStream(format!("frame: {msg}"));
-    // The version byte carries flag bits above the version number; mask
-    // the known flags off before comparing so checksummed (0x41), tiled
-    // (0x21) and plain (0x01) frames all decode — and so plain v1 streams
-    // keep decoding forever, whatever flags later encoders add to *new*
-    // streams.
-    if stream[4] & !(FLAG_CHECKSUM | FLAG_TILED) != FRAME_VERSION {
-        return Err(corrupt(&format!("unsupported version byte {:#04x}", stream[4])));
-    }
-    if stream[4] & FLAG_TILED != 0 {
-        return decompress_tiled(compressor, stream, pool, scratch, out, cancel);
-    }
-    let checksummed = stream[4] & FLAG_CHECKSUM != 0;
-    let ny = u64::from_le_bytes(stream[5..13].try_into().unwrap());
-    let nx = u64::from_le_bytes(stream[13..21].try_into().unwrap());
-    let n_blocks = u32::from_le_bytes(stream[21..25].try_into().unwrap()) as usize;
-    let ny = usize::try_from(ny).map_err(|_| corrupt("row count overflows usize"))?;
-    let nx = usize::try_from(nx).map_err(|_| corrupt("column count overflows usize"))?;
-    if ny == 0 || nx == 0 {
-        return Err(corrupt("empty field shape"));
-    }
-    if n_blocks < 2 || n_blocks > ny {
-        // The encoder never writes single-block frames (those are raw
-        // passthrough streams), so a framed header claiming < 2 blocks is
-        // corrupt by construction.
-        return Err(corrupt(&format!("block count {n_blocks} invalid for {ny} rows")));
-    }
-    // The tables themselves must fit before anything sized by them is
-    // allocated (a checksummed frame carries two: lengths, then digests).
-    let rest = &stream[HEADER_LEN..];
-    let per_block = if checksummed { 16 } else { 8 };
-    let table_bytes = n_blocks
-        .checked_mul(per_block)
-        .filter(|&t| t <= rest.len())
-        .ok_or_else(|| corrupt(&format!("block table for {n_blocks} blocks exceeds stream")))?;
-    let (table, body) = rest.split_at(table_bytes);
-    let (length_table, digest_table) = table.split_at(8 * n_blocks);
-    let mut lengths = Vec::with_capacity(n_blocks);
-    let mut total = 0usize;
-    for entry in length_table.chunks_exact(8) {
-        let len = u64::from_le_bytes(entry.try_into().unwrap());
-        let len = usize::try_from(len).map_err(|_| corrupt("block length overflows usize"))?;
-        total = total.checked_add(len).ok_or_else(|| corrupt("block lengths overflow"))?;
-        lengths.push(len);
-    }
-    let digests: Option<Vec<u64>> = checksummed.then(|| {
-        digest_table
-            .chunks_exact(8)
-            .map(|entry| u64::from_le_bytes(entry.try_into().unwrap()))
-            .collect()
-    });
-    if total != body.len() {
-        return Err(corrupt(&format!(
-            "block lengths sum to {total} but {} payload bytes remain",
-            body.len()
-        )));
-    }
-    // Bound the output allocation by the actual payload: even a constant
-    // field costs the inner codecs well over one stream byte per 64 Ki
-    // cells, so a header claiming more is forged — reject it before
-    // `out.resize` turns the claim into memory.
-    let cells = ny.checked_mul(nx).ok_or_else(|| corrupt("cell count overflows usize"))?;
-    if cells > body.len().saturating_mul(MAX_CELLS_PER_STREAM_BYTE) {
-        return Err(corrupt(&format!(
-            "claimed {cells} cells exceed the plausible yield of {} payload bytes",
-            body.len()
-        )));
-    }
-
-    // Split the output rows and the payload bytes per block, then decode
-    // every block on its own worker: substream → the worker's reusable
-    // field (validated against the expected shape) → memcpy into the
-    // block's disjoint slice of `out`.
-    let ranges = split_ranges(ny, n_blocks);
+    let (ny, nx, blocks) = parse_blocks(stream)?;
     out.resize(ny, nx);
-    let mut items: Vec<(usize, &[u8], &mut [f64])> = Vec::with_capacity(n_blocks);
-    {
-        let mut body = body;
-        let mut data = out.as_mut_slice();
-        for (range, &len) in ranges.iter().zip(&lengths) {
-            let (sub, body_rest) = body.split_at(len);
-            let (chunk, data_rest) = data.split_at_mut(range.len() * nx);
-            items.push((range.len(), sub, chunk));
-            body = body_rest;
-            data = data_rest;
-        }
-    }
-    let workers = scratch.workers(pool.threads().min(n_blocks));
+    let windows: Vec<Window> = blocks.iter().map(|block| block.window).collect();
+    let segments = disjoint_window_rows(out.as_mut_slice(), nx, &windows);
+    let items: Vec<_> = blocks.into_iter().zip(segments).collect();
+    let workers = scratch.workers(pool.threads().min(items.len()));
     let decoded: Vec<Result<(), CompressError>> =
-        try_parallel_block_map(pool, workers, items, |worker, b, (rows, sub, chunk)| {
+        try_parallel_block_map(pool, workers, items, |worker, b, (block, mut segs)| {
             if expired(cancel) {
                 return Err(CompressError::DeadlineExceeded(format!("frame: block {b} abandoned")));
             }
-            // Verify the digest before the inner decoder touches the bytes:
-            // corruption surfaces as this crisp error, never as a garbled
-            // entropy-decode failure (or, worse, a silently wrong field).
-            if let Some(digests) = &digests {
-                if xxh64(sub, 0) != digests[b] {
-                    return Err(CompressError::CorruptStream(format!(
-                        "frame: block {b} checksum mismatch"
-                    )));
-                }
-            }
-            let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
-            compressor.decompress_view_with(sub, &mut worker.arena, block)?;
-            if block.shape() != (rows, nx) {
-                return Err(CompressError::CorruptStream(format!(
-                    "frame: block {b} decoded to {:?}, expected ({rows}, {nx})",
-                    block.shape()
-                )));
-            }
-            chunk.copy_from_slice(block.as_slice());
-            Ok(())
-        })
-        .map_err(job_panic)?;
-    decoded.into_iter().collect()
-}
-
-/// One tile's decode work item: its rectangle, its compressed bytes, and
-/// the disjoint output row segments it writes.
-type TileItem<'a> = (Window, &'a [u8], Vec<&'a mut [f64]>);
-
-/// Decode a whole v2 tiled frame: parse the seek index, carve `out` into
-/// per-tile disjoint row segments ([`disjoint_window_rows`] — safe
-/// `split_at_mut` slicing, no aliasing), and decode every tile on its own
-/// worker straight into its rectangle.
-fn decompress_tiled(
-    compressor: &dyn Compressor,
-    stream: &[u8],
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    out: &mut Field2D,
-    cancel: Option<&CancelToken>,
-) -> Result<(), CompressError> {
-    let index = TiledIndex::parse(stream, stream.len())?;
-    let n_tiles = index.n_tiles();
-    let windows: Vec<Window> = (0..n_tiles).map(|t| index.tile_window(t)).collect();
-    out.resize(index.ny, index.nx);
-    let segments = disjoint_window_rows(out.as_mut_slice(), index.nx, &windows);
-    let items: Vec<TileItem<'_>> = windows
-        .iter()
-        .zip(segments)
-        .enumerate()
-        .map(|(t, (w, segs))| {
-            let (at, len) = index.tile_span(t);
-            (*w, &stream[at..at + len], segs)
-        })
-        .collect();
-    let digests = index.digests.as_deref();
-    let workers = scratch.workers(pool.threads().min(n_tiles));
-    let decoded: Vec<Result<(), CompressError>> =
-        try_parallel_block_map(pool, workers, items, |worker, t, (win, sub, mut segs)| {
-            if expired(cancel) {
-                return Err(CompressError::DeadlineExceeded(format!("frame: tile {t} abandoned")));
-            }
-            if let Some(digests) = digests {
-                if xxh64(sub, 0) != digests[t] {
-                    return Err(CompressError::CorruptStream(format!(
-                        "frame: tile {t} checksum mismatch"
-                    )));
-                }
-            }
-            let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
-            compressor.decompress_view_with(sub, &mut worker.arena, block)?;
-            if block.shape() != (win.height, win.width) {
-                return Err(CompressError::CorruptStream(format!(
-                    "frame: tile {t} decoded to {:?}, expected ({}, {})",
-                    block.shape(),
-                    win.height,
-                    win.width
-                )));
-            }
-            for (seg, row) in segs.iter_mut().zip(block.view().rows()) {
+            let shape = (block.window.height, block.window.width);
+            let decoded = decode_block(compressor, worker, b, block.bytes, block.digest, shape)?;
+            for (seg, row) in segs.iter_mut().zip(decoded.view().rows()) {
                 seg.copy_from_slice(row);
             }
             Ok(())
-        })
-        .map_err(job_panic)?;
+        })?;
     decoded.into_iter().collect()
 }
 
@@ -982,17 +826,43 @@ mod tests {
         ThreadPoolConfig::with_threads(3)
     }
 
+    fn bands(n: usize) -> FrameSpec {
+        FrameSpec { layout: FrameLayout::Bands(n), checksums: false }
+    }
+
+    fn tiles(ny: usize, nx: usize) -> FrameSpec {
+        FrameSpec { layout: FrameLayout::Tiles { ny, nx }, checksums: false }
+    }
+
+    /// Decode a (framed or raw) stream into an owned field.
+    fn decode(
+        compressor: &dyn Compressor,
+        stream: &[u8],
+        pool: ThreadPoolConfig,
+    ) -> Result<Field2D, CompressError> {
+        let mut out = Field2D::zeros(1, 1);
+        decompress_framed(compressor, stream, pool, &mut FrameScratch::new(), &mut out, None)?;
+        Ok(out)
+    }
+
     #[test]
     fn single_block_is_the_raw_stream() {
         let field = ramp(8, 5);
         let bound = ErrorBound::Absolute(1.0);
         let raw = Store.compress_view(&field.view(), bound).unwrap();
-        let framed =
-            compress_framed_with(&Store, &field.view(), bound, 1, pool(), &mut FrameScratch::new())
-                .unwrap();
+        let framed = compress_framed(
+            &Store,
+            &field.view(),
+            bound,
+            bands(1),
+            pool(),
+            &mut FrameScratch::new(),
+            None,
+        )
+        .unwrap();
         assert_eq!(framed, raw, "version-0 passthrough must not add a header");
         assert!(!is_framed(&framed));
-        assert_eq!(decompress_framed(&Store, &framed, pool()).unwrap(), field);
+        assert_eq!(decode(&Store, &framed, pool()).unwrap(), field);
     }
 
     #[test]
@@ -1001,12 +871,19 @@ mod tests {
         let bound = ErrorBound::Absolute(1.0);
         for blocks in 2..=8 {
             let mut scratch = FrameScratch::new();
-            let framed =
-                compress_framed_with(&Store, &field.view(), bound, blocks, pool(), &mut scratch)
-                    .unwrap();
+            let framed = compress_framed(
+                &Store,
+                &field.view(),
+                bound,
+                bands(blocks),
+                pool(),
+                &mut scratch,
+                None,
+            )
+            .unwrap();
             assert!(is_framed(&framed), "{blocks} blocks");
             assert_eq!(framed[4], FRAME_VERSION);
-            let back = decompress_framed(&Store, &framed, pool()).unwrap();
+            let back = decode(&Store, &framed, pool()).unwrap();
             assert_eq!(back, field, "{blocks} blocks");
         }
     }
@@ -1016,45 +893,29 @@ mod tests {
         let field = ramp(64, 8);
         let bound = ErrorBound::Absolute(1.0);
         let expired = CancelToken::with_deadline(std::time::Instant::now());
-        let err = compress_framed_deadline_with(
-            &Store,
-            &field.view(),
-            bound,
-            4,
-            pool(),
-            &mut FrameScratch::new(),
-            &expired,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CompressError::DeadlineExceeded(_)), "{err}");
-
-        let framed =
-            compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
-                .unwrap();
-        let mut out = Field2D::zeros(1, 1);
-        let err = decompress_framed_deadline_with(
-            &Store,
-            &framed,
-            pool(),
-            &mut FrameScratch::new(),
-            &mut out,
-            &expired,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CompressError::DeadlineExceeded(_)), "{err}");
-
-        // A live token decodes normally through the same entry point.
         let live = CancelToken::new();
-        decompress_framed_deadline_with(
-            &Store,
-            &framed,
-            pool(),
-            &mut FrameScratch::new(),
-            &mut out,
-            &live,
-        )
-        .unwrap();
-        assert_eq!(out, field);
+        let mut scratch = FrameScratch::new();
+        let mut out = Field2D::zeros(1, 1);
+        for spec in [bands(4), tiles(16, 4)] {
+            let view = field.view();
+            let err =
+                compress_framed(&Store, &view, bound, spec, pool(), &mut scratch, Some(&expired))
+                    .unwrap_err();
+            assert!(matches!(err, CompressError::DeadlineExceeded(_)), "{spec:?}: {err}");
+
+            let framed =
+                compress_framed(&Store, &view, bound, spec, pool(), &mut scratch, Some(&live))
+                    .unwrap();
+            let err =
+                decompress_framed(&Store, &framed, pool(), &mut scratch, &mut out, Some(&expired))
+                    .unwrap_err();
+            assert!(matches!(err, CompressError::DeadlineExceeded(_)), "{spec:?}: {err}");
+
+            // A live token decodes normally through the same entry point.
+            decompress_framed(&Store, &framed, pool(), &mut scratch, &mut out, Some(&live))
+                .unwrap();
+            assert_eq!(out, field, "{spec:?}");
+        }
     }
 
     /// Inner compressor that panics on every call: pillar-1 coverage that a
@@ -1089,13 +950,14 @@ mod tests {
     fn panicking_block_job_surfaces_as_internal_error() {
         let field = ramp(64, 8);
         let bound = ErrorBound::Absolute(1.0);
-        let err = compress_framed_with(
+        let err = compress_framed(
             &PanicStore,
             &field.view(),
             bound,
-            4,
+            bands(4),
             pool(),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap_err();
         match &err {
@@ -1103,16 +965,24 @@ mod tests {
             other => panic!("expected Internal, got {other:?}"),
         }
 
-        let framed =
-            compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
-                .unwrap();
+        let framed = compress_framed(
+            &Store,
+            &field.view(),
+            bound,
+            bands(4),
+            pool(),
+            &mut FrameScratch::new(),
+            None,
+        )
+        .unwrap();
         let mut out = Field2D::zeros(1, 1);
-        let err = decompress_framed_with(
+        let err = decompress_framed(
             &PanicStore,
             &framed,
             pool(),
             &mut FrameScratch::new(),
             &mut out,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, CompressError::Internal(_)), "{err:?}");
@@ -1125,13 +995,14 @@ mod tests {
         let mut streams = Vec::new();
         for threads in [1, 2, 5] {
             streams.push(
-                compress_framed_with(
+                compress_framed(
                     &Store,
                     &field.view(),
                     bound,
-                    4,
+                    bands(4),
                     ThreadPoolConfig::with_threads(threads),
                     &mut FrameScratch::new(),
+                    None,
                 )
                 .unwrap(),
             );
@@ -1143,18 +1014,19 @@ mod tests {
     #[test]
     fn block_count_is_clamped_to_rows() {
         let field = ramp(3, 9);
-        let framed = compress_framed_with(
+        let framed = compress_framed(
             &Store,
             &field.view(),
             ErrorBound::Absolute(1.0),
-            64,
+            bands(64),
             pool(),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         let n_blocks = u32::from_le_bytes(framed[21..25].try_into().unwrap());
         assert_eq!(n_blocks, 3);
-        assert_eq!(decompress_framed(&Store, &framed, pool()).unwrap(), field);
+        assert_eq!(decode(&Store, &framed, pool()).unwrap(), field);
     }
 
     #[test]
@@ -1176,14 +1048,15 @@ mod tests {
         let bound = ErrorBound::Absolute(1.0);
         let mut scratch = FrameScratch::new();
         let reference =
-            compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut scratch).unwrap();
+            compress_framed(&Store, &field.view(), bound, bands(4), pool(), &mut scratch, None)
+                .unwrap();
         let mut out = Field2D::zeros(1, 1);
         for round in 0..5 {
             let stream =
-                compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut scratch)
+                compress_framed(&Store, &field.view(), bound, bands(4), pool(), &mut scratch, None)
                     .unwrap();
             assert_eq!(stream, reference, "round {round}");
-            decompress_framed_with(&Store, &stream, pool(), &mut scratch, &mut out).unwrap();
+            decompress_framed(&Store, &stream, pool(), &mut scratch, &mut out, None).unwrap();
             assert_eq!(out, field, "round {round}");
         }
     }
@@ -1224,13 +1097,14 @@ mod tests {
         // surface the error instead of emitting a half-assembled frame.
         let mut field = ramp(24, 8);
         field.set(12, 3, -999.0);
-        let result = compress_framed_with(
+        let result = compress_framed(
             &FailOnMarker,
             &field.view(),
             ErrorBound::Absolute(1.0),
-            4,
+            bands(4),
             pool(),
             &mut FrameScratch::new(),
+            None,
         );
         assert!(matches!(result, Err(CompressError::InvalidInput(_))));
     }
@@ -1241,18 +1115,19 @@ mod tests {
         let bound = ErrorBound::Absolute(1.0);
         for blocks in 2..=8 {
             let mut scratch = FrameScratch::new();
-            let framed = compress_framed_checksummed_with(
+            let framed = compress_framed(
                 &Store,
                 &field.view(),
                 bound,
-                blocks,
+                FrameSpec { checksums: true, ..bands(blocks) },
                 pool(),
                 &mut scratch,
+                None,
             )
             .unwrap();
             assert!(is_framed(&framed), "{blocks} blocks");
             assert_eq!(framed[4], FRAME_VERSION | FLAG_CHECKSUM);
-            let back = decompress_framed(&Store, &framed, pool()).unwrap();
+            let back = decode(&Store, &framed, pool()).unwrap();
             assert_eq!(back, field, "{blocks} blocks");
         }
     }
@@ -1264,16 +1139,24 @@ mod tests {
         // what the blocks themselves contain.
         let field = ramp(40, 6);
         let bound = ErrorBound::Absolute(1.0);
-        let plain =
-            compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
-                .unwrap();
-        let summed = compress_framed_checksummed_with(
+        let plain = compress_framed(
             &Store,
             &field.view(),
             bound,
-            4,
+            bands(4),
             pool(),
             &mut FrameScratch::new(),
+            None,
+        )
+        .unwrap();
+        let summed = compress_framed(
+            &Store,
+            &field.view(),
+            bound,
+            FrameSpec { checksums: true, ..bands(4) },
+            pool(),
+            &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         let table_end = HEADER_LEN + 8 * 4;
@@ -1302,13 +1185,14 @@ mod tests {
         let field = ramp(8, 5);
         let bound = ErrorBound::Absolute(1.0);
         let raw = Store.compress_view(&field.view(), bound).unwrap();
-        let framed = compress_framed_checksummed_with(
+        let framed = compress_framed(
             &Store,
             &field.view(),
             bound,
-            1,
+            FrameSpec { checksums: true, ..bands(1) },
             pool(),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         assert_eq!(framed, raw, "single-block passthrough must stay unframed");
@@ -1318,13 +1202,14 @@ mod tests {
     fn checksum_catches_payload_corruption() {
         let field = ramp(24, 8);
         let bound = ErrorBound::Absolute(1.0);
-        let good = compress_framed_checksummed_with(
+        let good = compress_framed(
             &Store,
             &field.view(),
             bound,
-            4,
+            FrameSpec { checksums: true, ..bands(4) },
             pool(),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         let body_at = HEADER_LEN + 16 * 4;
@@ -1342,7 +1227,7 @@ mod tests {
         for (b, len) in lengths.iter().enumerate() {
             let mut bad = good.clone();
             bad[at + len - 1] ^= 0x10;
-            match decompress_framed(&Store, &bad, pool()) {
+            match decode(&Store, &bad, pool()) {
                 Err(CompressError::CorruptStream(msg)) => {
                     assert_eq!(msg, format!("frame: block {b} checksum mismatch"));
                 }
@@ -1355,12 +1240,12 @@ mod tests {
         let mut bad = good.clone();
         bad[HEADER_LEN + 8 * 4] ^= 1;
         assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
+            decode(&Store, &bad, pool()),
             Err(CompressError::CorruptStream(msg)) if msg.contains("checksum mismatch")
         ));
 
         // The untouched stream still decodes to the original field.
-        assert_eq!(decompress_framed(&Store, &good, pool()).unwrap(), field);
+        assert_eq!(decode(&Store, &good, pool()).unwrap(), field);
     }
 
     #[test]
@@ -1374,10 +1259,7 @@ mod tests {
         bad.extend_from_slice(&8u64.to_le_bytes());
         bad.extend_from_slice(&200u32.to_le_bytes());
         bad.extend_from_slice(&[0u8; 32]);
-        assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
-            Err(CompressError::CorruptStream(_))
-        ));
+        assert!(matches!(decode(&Store, &bad, pool()), Err(CompressError::CorruptStream(_))));
     }
 
     #[test]
@@ -1388,14 +1270,14 @@ mod tests {
         let bound = ErrorBound::Absolute(1.0);
         let raw = Store.compress_view(&field.view(), bound).unwrap();
         for (ty, tx) in [(8, 5), (100, 100), (8, 9)] {
-            let tiled = compress_tiled_with(
+            let tiled = compress_framed(
                 &Store,
                 &field.view(),
                 bound,
-                ty,
-                tx,
+                tiles(ty, tx),
                 pool(),
                 &mut FrameScratch::new(),
+                None,
             )
             .unwrap();
             assert_eq!(tiled, raw, "{ty}x{tx} tiles");
@@ -1409,12 +1291,19 @@ mod tests {
         let bound = ErrorBound::Absolute(1.0);
         for (ty, tx) in [(8, 8), (23, 5), (5, 17), (7, 11), (1, 1)] {
             let mut scratch = FrameScratch::new();
-            let tiled =
-                compress_tiled_with(&Store, &field.view(), bound, ty, tx, pool(), &mut scratch)
-                    .unwrap();
+            let tiled = compress_framed(
+                &Store,
+                &field.view(),
+                bound,
+                tiles(ty, tx),
+                pool(),
+                &mut scratch,
+                None,
+            )
+            .unwrap();
             assert!(is_framed(&tiled), "{ty}x{tx}");
             assert_eq!(tiled[4], FRAME_VERSION | FLAG_TILED, "{ty}x{tx}");
-            let back = decompress_framed(&Store, &tiled, pool()).unwrap();
+            let back = decode(&Store, &tiled, pool()).unwrap();
             assert_eq!(back, field, "{ty}x{tx} tiles");
         }
     }
@@ -1424,25 +1313,25 @@ mod tests {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
         let mut scratch = FrameScratch::new();
-        let tiled = compress_tiled_checksummed_with(
+        let tiled = compress_framed(
             &Store,
             &field.view(),
             bound,
-            8,
-            8,
+            FrameSpec { checksums: true, ..tiles(8, 8) },
             pool(),
             &mut scratch,
+            None,
         )
         .unwrap();
         assert_eq!(tiled[4], FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
-        assert_eq!(decompress_framed(&Store, &tiled, pool()).unwrap(), field);
+        assert_eq!(decode(&Store, &tiled, pool()).unwrap(), field);
 
         // A flipped payload bit is caught by the per-tile digest.
         let mut bad = tiled.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x08;
         assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
+            decode(&Store, &bad, pool()),
             Err(CompressError::CorruptStream(msg)) if msg.contains("checksum mismatch")
         ));
     }
@@ -1454,14 +1343,14 @@ mod tests {
         let mut streams = Vec::new();
         for threads in [1, 2, 5] {
             streams.push(
-                compress_tiled_with(
+                compress_framed(
                     &Store,
                     &field.view(),
                     bound,
-                    16,
-                    16,
+                    tiles(16, 16),
                     ThreadPoolConfig::with_threads(threads),
                     &mut FrameScratch::new(),
+                    None,
                 )
                 .unwrap(),
             );
@@ -1476,14 +1365,14 @@ mod tests {
         // matching subfield — the property the archive's seek path rests on.
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
-        let tiled = compress_tiled_with(
+        let tiled = compress_framed(
             &Store,
             &field.view(),
             bound,
-            8,
-            8,
+            tiles(8, 8),
             pool(),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         let index = TiledIndex::parse(&tiled, tiled.len()).unwrap();
@@ -1509,14 +1398,14 @@ mod tests {
     #[test]
     fn tiled_index_tiles_overlapping_matches_geometry() {
         let field = ramp(23, 17);
-        let tiled = compress_tiled_with(
+        let tiled = compress_framed(
             &Store,
             &field.view(),
             ErrorBound::Absolute(1.0),
-            8,
-            8,
+            tiles(8, 8),
             pool(),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         let index = TiledIndex::parse(&tiled, tiled.len()).unwrap();
@@ -1540,27 +1429,27 @@ mod tests {
     fn corrupt_tiled_frames_are_rejected() {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
-        let good = compress_tiled_with(
+        let good = compress_framed(
             &Store,
             &field.view(),
             bound,
-            8,
-            8,
+            tiles(8, 8),
             pool(),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
 
         // Zero tile dims at encode time are invalid input, not a panic.
         assert!(matches!(
-            compress_tiled_with(
+            compress_framed(
                 &Store,
                 &field.view(),
                 bound,
-                0,
-                8,
+                tiles(0, 8),
                 pool(),
-                &mut FrameScratch::new()
+                &mut FrameScratch::new(),
+                None
             ),
             Err(CompressError::InvalidInput(_))
         ));
@@ -1571,7 +1460,7 @@ mod tests {
         bad[25..29].copy_from_slice(&4u32.to_le_bytes());
         bad[29..33].copy_from_slice(&4u32.to_le_bytes());
         assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
+            decode(&Store, &bad, pool()),
             Err(CompressError::CorruptStream(msg)) if msg.contains("does not cover")
         ));
 
@@ -1579,23 +1468,23 @@ mod tests {
         let mut bad = good.clone();
         bad[25..29].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
+            decode(&Store, &bad, pool()),
             Err(CompressError::CorruptStream(msg)) if msg.contains("tile shape")
         ));
 
         // Overflowing tile length in the seek index.
         let mut bad = good.clone();
         bad[33..41].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decompress_framed(&Store, &bad, pool()).is_err());
+        assert!(decode(&Store, &bad, pool()).is_err());
 
         // Truncated stream: lengths no longer reach the end of the frame.
-        assert!(decompress_framed(&Store, &good[..good.len() - 3], pool()).is_err());
+        assert!(decode(&Store, &good[..good.len() - 3], pool()).is_err());
 
         // An unknown flag bit on a tiled frame is an unsupported version.
         let mut bad = good.clone();
         bad[4] |= 0x80;
         assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
+            decode(&Store, &bad, pool()),
             Err(CompressError::CorruptStream(msg)) if msg.contains("unsupported version")
         ));
 
@@ -1613,30 +1502,31 @@ mod tests {
             bad.extend_from_slice(&len.to_le_bytes());
         }
         bad.extend_from_slice(&[0u8; 32]);
-        assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
-            Err(CompressError::CorruptStream(_))
-        ));
+        assert!(matches!(decode(&Store, &bad, pool()), Err(CompressError::CorruptStream(_))));
 
         // The untouched stream still decodes.
-        assert_eq!(decompress_framed(&Store, &good, pool()).unwrap(), field);
+        assert_eq!(decode(&Store, &good, pool()).unwrap(), field);
     }
 
     #[test]
     fn corrupt_frames_are_rejected() {
         let field = ramp(24, 8);
         let bound = ErrorBound::Absolute(1.0);
-        let good =
-            compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
-                .unwrap();
+        let good = compress_framed(
+            &Store,
+            &field.view(),
+            bound,
+            bands(4),
+            pool(),
+            &mut FrameScratch::new(),
+            None,
+        )
+        .unwrap();
 
         // Bad version byte.
         let mut bad = good.clone();
         bad[4] = 9;
-        assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
-            Err(CompressError::CorruptStream(_))
-        ));
+        assert!(matches!(decode(&Store, &bad, pool()), Err(CompressError::CorruptStream(_))));
 
         // Truncated frame table: a forged header claims 200 blocks but only
         // a few table bytes follow — must fail before allocating anything
@@ -1648,33 +1538,30 @@ mod tests {
         bad.extend_from_slice(&8u64.to_le_bytes());
         bad.extend_from_slice(&200u32.to_le_bytes());
         bad.extend_from_slice(&[0u8; 10]);
-        assert!(matches!(
-            decompress_framed(&Store, &bad, pool()),
-            Err(CompressError::CorruptStream(_))
-        ));
+        assert!(matches!(decode(&Store, &bad, pool()), Err(CompressError::CorruptStream(_))));
 
         // Block count exceeding the row count.
         let mut bad = good.clone();
         bad[21..25].copy_from_slice(&100u32.to_le_bytes());
-        assert!(decompress_framed(&Store, &bad, pool()).is_err());
+        assert!(decode(&Store, &bad, pool()).is_err());
 
         // Overflowing block length.
         let mut bad = good.clone();
         bad[25..33].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decompress_framed(&Store, &bad, pool()).is_err());
+        assert!(decode(&Store, &bad, pool()).is_err());
 
         // Lengths that no longer sum to the payload.
         let mut bad = good.clone();
         let first = u64::from_le_bytes(bad[25..33].try_into().unwrap());
         bad[25..33].copy_from_slice(&(first - 1).to_le_bytes());
-        assert!(decompress_framed(&Store, &bad, pool()).is_err());
+        assert!(decode(&Store, &bad, pool()).is_err());
 
         // Truncated payload.
-        assert!(decompress_framed(&Store, &good[..good.len() - 3], pool()).is_err());
+        assert!(decode(&Store, &good[..good.len() - 3], pool()).is_err());
 
         // Zero blocks.
         let mut bad = good;
         bad[21..25].copy_from_slice(&0u32.to_le_bytes());
-        assert!(decompress_framed(&Store, &bad, pool()).is_err());
+        assert!(decode(&Store, &bad, pool()).is_err());
     }
 }

@@ -24,7 +24,8 @@ pub mod scratch;
 
 pub use bound::ErrorBound;
 pub use frame::{
-    FrameScratch, FrameWorker, TiledIndex, FLAG_CHECKSUM, FLAG_TILED, FRAME_MAGIC, FRAME_VERSION,
+    FrameLayout, FrameScratch, FrameSpec, FrameWorker, TiledIndex, FLAG_CHECKSUM, FLAG_TILED,
+    FRAME_MAGIC, FRAME_VERSION,
 };
 pub use metrics::Metrics;
 pub use registry::{CompressorInfo, Registry};
@@ -67,6 +68,14 @@ impl std::fmt::Display for CompressError {
 }
 
 impl std::error::Error for CompressError {}
+
+/// A panicking parallel job, isolated per job by `lcc_par`, surfaces as an
+/// internal error instead of aborting the process.
+impl From<lcc_par::JobPanicked> for CompressError {
+    fn from(err: lcc_par::JobPanicked) -> Self {
+        CompressError::Internal(err.to_string())
+    }
+}
 
 /// Outcome of a measured compression run: the stream, the reconstruction and
 /// the quality/size metrics comparing it to the original.

@@ -180,3 +180,42 @@ fn degenerate_windows_are_rejected_as_invalid_input() {
         }
     }
 }
+
+#[test]
+fn parallel_misses_fill_the_cache_in_tile_order() {
+    // Four 16x16 tiles; the single-shard cache has room for three of them
+    // (2 KiB of values each, plus bookkeeping) but not four. Decoded tiles
+    // are inserted in ascending tile order whatever order the two workers
+    // finish in, so the least recently used tile — and the one evicted — is
+    // always tile 0.
+    let sz = SzCompressor::default();
+    let pool = ThreadPoolConfig::with_threads(2);
+    let mut scratch = FrameScratch::default();
+    let mut writer = ArchiveWriter::new();
+    writer
+        .add_entry(
+            "f",
+            0,
+            &wavy(32, 32, 5),
+            &sz,
+            ErrorBound::Absolute(1e-3),
+            16,
+            16,
+            pool,
+            &mut scratch,
+        )
+        .unwrap();
+    let cache = Arc::new(TileCache::with_shards(7 * 1024, 1));
+    let archive = Archive::open(writer.finish()).unwrap().with_cache(Arc::clone(&cache));
+    let window = Window { i0: 0, j0: 0, height: 32, width: 32 };
+    let mut out = Field2D::zeros(1, 1);
+    for rep in 0..50 {
+        cache.clear();
+        let stats = archive.read_region(0, &window, &sz, pool, &mut scratch, &mut out).unwrap();
+        assert_eq!((stats.tiles, stats.tiles_from_cache), (4, 0), "rep {rep}");
+        assert_eq!(cache.stats().evictions, 1, "rep {rep}");
+        let resident: Vec<bool> =
+            (0..4).map(|t| cache.get(&archive.tile_key(0, t)).is_some()).collect();
+        assert_eq!(resident, [false, true, true, true], "rep {rep}: evicted the wrong tile");
+    }
+}

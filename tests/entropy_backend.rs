@@ -14,7 +14,10 @@ use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::entropy_ablation_registry;
 use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
-use lcc::pressio::{frame, CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
+use lcc::pressio::{
+    frame, CompressError, Compressor, ErrorBound, FrameLayout, FrameScratch, FrameSpec,
+    ScratchArena,
+};
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
 use lcc_par::ThreadPoolConfig;
@@ -101,35 +104,40 @@ fn framed_container_carries_rans_variants() {
     let field = wavy(131, 67, 3);
     let bound = ErrorBound::Absolute(1e-3);
     let pool = ThreadPoolConfig::with_threads(3);
+    let bands = |n| FrameSpec { layout: FrameLayout::Bands(n), checksums: false };
+    let decode = |comp: &dyn Compressor, stream: &[u8]| {
+        let mut out = Field2D::zeros(1, 1);
+        frame::decompress_framed(comp, stream, pool, &mut FrameScratch::new(), &mut out, None)
+            .unwrap();
+        out
+    };
     for (huff, rans) in backend_pairs() {
         let mut scratch = FrameScratch::new();
+        let view = field.view();
         // Multi-block frame over the rANS variant round-trips and matches
         // the Huffman variant's decode bit for bit.
         let framed_r =
-            frame::compress_framed_with(rans.as_ref(), &field.view(), bound, 4, pool, &mut scratch)
+            frame::compress_framed(rans.as_ref(), &view, bound, bands(4), pool, &mut scratch, None)
                 .unwrap();
         let framed_h =
-            frame::compress_framed_with(huff.as_ref(), &field.view(), bound, 4, pool, &mut scratch)
+            frame::compress_framed(huff.as_ref(), &view, bound, bands(4), pool, &mut scratch, None)
                 .unwrap();
         assert!(frame::is_framed(&framed_r));
-        let dec_r = frame::decompress_framed(rans.as_ref(), &framed_r, pool).unwrap();
-        let dec_h = frame::decompress_framed(huff.as_ref(), &framed_h, pool).unwrap();
+        let dec_r = decode(rans.as_ref(), &framed_r);
+        let dec_h = decode(huff.as_ref(), &framed_h);
         assert_eq!(dec_r, dec_h, "{} framed decode differs", rans.name());
 
         // Single-block passthrough: the raw rANS container must survive the
         // frame dispatch (its magic cannot read as an LCCF header).
         let single =
-            frame::compress_framed_with(rans.as_ref(), &field.view(), bound, 1, pool, &mut scratch)
+            frame::compress_framed(rans.as_ref(), &view, bound, bands(1), pool, &mut scratch, None)
                 .unwrap();
-        assert_eq!(single, rans.compress_view(&field.view(), bound).unwrap());
+        assert_eq!(single, rans.compress_view(&view, bound).unwrap());
         assert!(!frame::is_framed(&single));
         // Passthrough decode equals the direct single-stream decode (framed
         // multi-block decodes differ legitimately: predictors do not see
         // across block seams).
-        assert_eq!(
-            frame::decompress_framed(rans.as_ref(), &single, pool).unwrap(),
-            rans.decompress_field(&single).unwrap()
-        );
+        assert_eq!(decode(rans.as_ref(), &single), rans.decompress_field(&single).unwrap());
     }
 }
 

@@ -20,12 +20,10 @@
 use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
 use lcc::par::ThreadPoolConfig;
-use lcc::pressio::frame::{
-    compress_framed_checksummed_with, compress_framed_with, compress_tiled_checksummed_with,
-    compress_tiled_with, decompress_framed, decompress_framed_with, is_framed,
-};
+use lcc::pressio::frame::{compress_framed, decompress_framed, is_framed};
 use lcc::pressio::{
-    CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena, FRAME_MAGIC, FRAME_VERSION,
+    CompressError, Compressor, ErrorBound, FrameLayout, FrameScratch, FrameSpec, ScratchArena,
+    FRAME_MAGIC, FRAME_VERSION,
 };
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
@@ -55,25 +53,41 @@ fn pool(threads: usize) -> ThreadPoolConfig {
     ThreadPoolConfig::with_threads(threads)
 }
 
+fn bands(n: usize) -> FrameSpec {
+    FrameSpec { layout: FrameLayout::Bands(n), checksums: false }
+}
+
+/// Decode a (framed or raw) stream into an owned field with fresh scratch.
+fn decode_field(
+    comp: &dyn Compressor,
+    stream: &[u8],
+    pool: ThreadPoolConfig,
+) -> Result<Field2D, CompressError> {
+    let mut out = Field2D::zeros(1, 1);
+    decompress_framed(comp, stream, pool, &mut FrameScratch::new(), &mut out, None)?;
+    Ok(out)
+}
+
 #[test]
 fn single_block_frame_is_byte_identical_to_the_unframed_stream() {
     let field = wavy(48, 37, 5);
     let bound = ErrorBound::Absolute(1e-3);
     for comp in compressors() {
         let raw = comp.compress_view(&field.view(), bound).unwrap();
-        let framed = compress_framed_with(
+        let framed = compress_framed(
             comp.as_ref(),
             &field.view(),
             bound,
-            1,
+            bands(1),
             pool(3),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         assert_eq!(framed, raw, "{}: single-block passthrough", comp.name());
         assert!(!is_framed(&framed), "{}", comp.name());
         // And the framed decoder transparently decodes legacy raw streams.
-        let back = decompress_framed(comp.as_ref(), &raw, pool(3)).unwrap();
+        let back = decode_field(comp.as_ref(), &raw, pool(3)).unwrap();
         assert_eq!(back, comp.decompress_field(&raw).unwrap(), "{}", comp.name());
     }
 }
@@ -85,17 +99,18 @@ fn framed_roundtrip_holds_the_bound_across_block_counts() {
     let eb = 1e-3;
     for comp in compressors() {
         for blocks in 1..=8usize {
-            let stream = compress_framed_with(
+            let stream = compress_framed(
                 comp.as_ref(),
                 &field.view(),
                 ErrorBound::Absolute(eb),
-                blocks,
+                bands(blocks),
                 pool(4),
                 &mut FrameScratch::new(),
+                None,
             )
             .unwrap();
             assert_eq!(is_framed(&stream), blocks > 1, "{} blocks={blocks}", comp.name());
-            let back = decompress_framed(comp.as_ref(), &stream, pool(4)).unwrap();
+            let back = decode_field(comp.as_ref(), &stream, pool(4)).unwrap();
             assert_eq!(back.shape(), field.shape(), "{} blocks={blocks}", comp.name());
             assert!(
                 field.max_abs_diff(&back) <= eb,
@@ -115,16 +130,17 @@ fn degenerate_row_and_column_fields_roundtrip() {
         for (ny, nx) in [(1, 64), (64, 1), (1, 1), (2, 39)] {
             let field = wavy(ny, nx, 11);
             for blocks in [1, 3, 8] {
-                let stream = compress_framed_with(
+                let stream = compress_framed(
                     comp.as_ref(),
                     &field.view(),
                     ErrorBound::Absolute(eb),
-                    blocks,
+                    bands(blocks),
                     pool(2),
                     &mut FrameScratch::new(),
+                    None,
                 )
                 .unwrap();
-                let back = decompress_framed(comp.as_ref(), &stream, pool(2)).unwrap();
+                let back = decode_field(comp.as_ref(), &stream, pool(2)).unwrap();
                 assert_eq!(back.shape(), (ny, nx), "{} {ny}x{nx}/{blocks}", comp.name());
                 assert!(
                     field.max_abs_diff(&back) <= eb,
@@ -145,16 +161,17 @@ fn framed_decode_matches_stitched_per_block_single_streams() {
     let bound = ErrorBound::Absolute(1e-3);
     let blocks = 4usize;
     for comp in compressors() {
-        let stream = compress_framed_with(
+        let stream = compress_framed(
             comp.as_ref(),
             &field.view(),
             bound,
-            blocks,
+            bands(blocks),
             pool(4),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
-        let framed_decode = decompress_framed(comp.as_ref(), &stream, pool(4)).unwrap();
+        let framed_decode = decode_field(comp.as_ref(), &stream, pool(4)).unwrap();
 
         let mut stitched = Field2D::zeros(field.ny(), field.nx());
         for range in lcc::par::split_ranges(field.ny(), blocks) {
@@ -178,13 +195,14 @@ fn framed_stream_is_deterministic_across_pool_widths() {
         let mut streams = Vec::new();
         for threads in [1, 2, 7] {
             streams.push(
-                compress_framed_with(
+                compress_framed(
                     comp.as_ref(),
                     &field.view(),
                     bound,
-                    5,
+                    bands(5),
                     pool(threads),
                     &mut FrameScratch::new(),
+                    None,
                 )
                 .unwrap(),
             );
@@ -219,18 +237,19 @@ fn corrupt_frames_error_for_every_compressor() {
     let field = wavy(36, 24, 7);
     let bound = ErrorBound::Absolute(1e-3);
     for comp in compressors() {
-        let good = compress_framed_with(
+        let good = compress_framed(
             comp.as_ref(),
             &field.view(),
             bound,
-            4,
+            bands(4),
             pool(2),
             &mut FrameScratch::new(),
+            None,
         )
         .unwrap();
         assert!(is_framed(&good));
 
-        let decode = |bytes: &[u8]| decompress_framed(comp.as_ref(), bytes, pool(2));
+        let decode = |bytes: &[u8]| decode_field(comp.as_ref(), bytes, pool(2));
 
         // Bad version byte.
         let mut bad = good.clone();
@@ -316,28 +335,18 @@ fn encode_frame(
     layout: Layout,
     checksums: bool,
 ) -> Vec<u8> {
-    let mut scratch = FrameScratch::new();
-    let view = field.view();
-    match (layout, checksums) {
-        (Layout::Bands(n), false) => {
-            compress_framed_with(comp, &view, bound, n, pool(3), &mut scratch)
-        }
-        (Layout::Bands(n), true) => {
-            compress_framed_checksummed_with(comp, &view, bound, n, pool(3), &mut scratch)
-        }
-        (Layout::Tiles(ty, tx), false) => {
-            compress_tiled_with(comp, &view, bound, ty, tx, pool(3), &mut scratch)
-        }
-        (Layout::Tiles(ty, tx), true) => {
-            compress_tiled_checksummed_with(comp, &view, bound, ty, tx, pool(3), &mut scratch)
-        }
-    }
-    .unwrap()
+    let layout = match layout {
+        Layout::Bands(n) => FrameLayout::Bands(n),
+        Layout::Tiles(ny, nx) => FrameLayout::Tiles { ny, nx },
+    };
+    let spec = FrameSpec { layout, checksums };
+    compress_framed(comp, &field.view(), bound, spec, pool(3), &mut FrameScratch::new(), None)
+        .unwrap()
 }
 
 /// Decode a (framed or raw) stream into an owned field.
 fn decode_frame(comp: &dyn Compressor, stream: &[u8]) -> Field2D {
-    decompress_framed(comp, stream, pool(3)).unwrap()
+    decode_field(comp, stream, pool(3)).unwrap()
 }
 
 /// FNV-1a over a stream, as the raw-codec stream-identity gate hashes.
@@ -427,39 +436,52 @@ fn framed_and_tiled_bytes_are_pinned() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Arbitrary shapes and block counts: the frame must round-trip inside
-    /// the bound and stay deterministic regardless of the worker count.
+    /// Arbitrary shapes, layouts (row bands or tiles) and checksum flags:
+    /// the frame must decode through the one entry point to the right shape
+    /// inside the bound, regardless of the worker count.
     #[test]
     fn framed_roundtrip_property(
         ny in 1usize..64,
         nx in 1usize..64,
+        tiled in any::<bool>(),
         blocks in 1usize..9,
+        tile_ny in 1usize..40,
+        tile_nx in 1usize..40,
+        checksums in any::<bool>(),
         threads in 1usize..5,
         seed in any::<u64>(),
     ) {
         let field = wavy(ny, nx, seed);
         let eb = 1e-3;
+        let layout = if tiled {
+            FrameLayout::Tiles { ny: tile_ny, nx: tile_nx }
+        } else {
+            FrameLayout::Bands(blocks)
+        };
+        let spec = FrameSpec { layout, checksums };
         for comp in compressors() {
-            let stream = compress_framed_with(
+            let stream = compress_framed(
                 comp.as_ref(),
                 &field.view(),
                 ErrorBound::Absolute(eb),
-                blocks,
+                spec,
                 pool(threads),
                 &mut FrameScratch::new(),
+                None,
             )
             .unwrap();
             let mut out = Field2D::zeros(1, 1);
-            decompress_framed_with(
+            decompress_framed(
                 comp.as_ref(),
                 &stream,
                 pool(threads),
                 &mut FrameScratch::new(),
                 &mut out,
+                None,
             )
             .unwrap();
             prop_assert_eq!(out.shape(), (ny, nx));
-            prop_assert!(field.max_abs_diff(&out) <= eb, "{}: bound violated", comp.name());
+            prop_assert!(field.max_abs_diff(&out) <= eb, "{} {:?}: bound violated", comp.name(), spec);
         }
     }
 }
