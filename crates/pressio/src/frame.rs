@@ -233,6 +233,13 @@ pub fn is_framed(stream: &[u8]) -> bool {
     stream.len() >= HEADER_LEN && stream[..4] == FRAME_MAGIC
 }
 
+/// The full-width row bands [`split_ranges`] cuts a `ny × nx` field into.
+fn band_windows(ny: usize, nx: usize, bands: usize) -> Vec<Window> {
+    let band =
+        |r: std::ops::Range<usize>| Window { i0: r.start, j0: 0, height: r.len(), width: nx };
+    split_ranges(ny, bands).into_iter().map(band).collect()
+}
+
 /// Compress a view as a frame laid out by `spec`, encoding blocks in
 /// parallel over `pool` with per-worker arenas from `scratch`.
 ///
@@ -260,13 +267,7 @@ pub fn compress_framed(
     }
     let (ny, nx) = view.shape();
     let (windows, tile_dims): (Vec<Window>, _) = match spec.layout {
-        FrameLayout::Bands(n) => {
-            let bands = split_ranges(ny, n.clamp(1, ny)).into_iter();
-            (
-                bands.map(|r| Window { i0: r.start, j0: 0, height: r.len(), width: nx }).collect(),
-                None,
-            )
-        }
+        FrameLayout::Bands(n) => (band_windows(ny, nx, n.clamp(1, ny)), None),
         FrameLayout::Tiles { ny: 0, .. } | FrameLayout::Tiles { nx: 0, .. } => {
             return Err(CompressError::InvalidInput("tile dimensions must be non-zero".into()));
         }
@@ -297,9 +298,8 @@ pub fn compress_framed(
 
 /// Encode `sub_views` as the blocks of a frame whose fixed header is
 /// already in `header`, reserving and backfilling the length (and optional
-/// digest) tables. Shared by the row-band (v1) and tiled (v2) encoders —
-/// the formats differ only in the header prefix and how the views tile the
-/// field.
+/// digest) tables. Both layouts share it — the formats differ only in the
+/// header prefix and how the views tile the field.
 ///
 /// Pipelined stream assembly: the header and zeroed length (and, when
 /// checksummed, digest) tables are reserved up front, and every finished
@@ -676,9 +676,7 @@ fn parse_blocks(stream: &[u8]) -> Result<(usize, usize, Vec<Block<'_>>), Compres
         }
         let checksummed = stream[4] & FLAG_CHECKSUM != 0;
         let tables = read_tables(stream, HEADER_LEN, n_blocks, checksummed, stream.len(), ny * nx)?;
-        let bands = split_ranges(ny, n_blocks).into_iter();
-        let windows = bands.map(|r| Window { i0: r.start, j0: 0, height: r.len(), width: nx });
-        (ny, nx, windows.collect(), tables)
+        (ny, nx, band_windows(ny, nx, n_blocks), tables)
     };
     let blocks = windows
         .into_iter()

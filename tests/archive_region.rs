@@ -183,31 +183,25 @@ fn degenerate_windows_are_rejected_as_invalid_input() {
 
 #[test]
 fn parallel_misses_fill_the_cache_in_tile_order() {
-    // Four 16x16 tiles; the single-shard cache has room for three of them
-    // (2 KiB of values each, plus bookkeeping) but not four. Decoded tiles
-    // are inserted in ascending tile order whatever order the two workers
-    // finish in, so the least recently used tile — and the one evicted — is
-    // always tile 0.
+    // Four 128x128 tiles; the single-shard cache has room for three of them
+    // (128 KiB of values each, plus bookkeeping) but not four. Tile 0 holds
+    // noise at a tight bound and decodes far slower than the three constant
+    // tiles, so the pool's other worker finishes those first. Decoded tiles
+    // are still inserted in ascending tile order, so the least recently
+    // used tile — the one evicted — is always tile 0.
     let sz = SzCompressor::default();
     let pool = ThreadPoolConfig::with_threads(2);
+    let noise = wavy(128, 128, 5);
+    let field =
+        Field2D::from_fn(256, 256, |i, j| if i < 128 && j < 128 { noise.get(i, j) } else { 0.0 });
     let mut scratch = FrameScratch::default();
     let mut writer = ArchiveWriter::new();
     writer
-        .add_entry(
-            "f",
-            0,
-            &wavy(32, 32, 5),
-            &sz,
-            ErrorBound::Absolute(1e-3),
-            16,
-            16,
-            pool,
-            &mut scratch,
-        )
+        .add_entry("f", 0, &field, &sz, ErrorBound::Absolute(1e-9), 128, 128, pool, &mut scratch)
         .unwrap();
-    let cache = Arc::new(TileCache::with_shards(7 * 1024, 1));
+    let cache = Arc::new(TileCache::with_shards(7 * 64 * 1024, 1));
     let archive = Archive::open(writer.finish()).unwrap().with_cache(Arc::clone(&cache));
-    let window = Window { i0: 0, j0: 0, height: 32, width: 32 };
+    let window = Window { i0: 0, j0: 0, height: 256, width: 256 };
     let mut out = Field2D::zeros(1, 1);
     for rep in 0..50 {
         cache.clear();
