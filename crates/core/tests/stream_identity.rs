@@ -11,7 +11,7 @@
 //! these hashes (and the `lcc_lossless` fixtures) and say so in its change
 //! log.
 
-use lcc_core::registry::default_registry;
+use lcc_core::registry::{default_registry, entropy_ablation_registry};
 use lcc_grid::Field2D;
 use lcc_pressio::{ErrorBound, ScratchArena};
 
@@ -46,6 +46,37 @@ const PINNED: &[(&str, f64, usize, u64)] = &[
     ("zfp", 1e-4, 29928, 0x6138c086316688d7),
     ("zfp", 1e-2, 20335, 0x5fe34963db75c8bf),
 ];
+
+/// (compressor, bound, stream length, FNV-1a hash) of the 8-way rANS
+/// variants, pinned on the same field before the 2-way format was retired.
+const PINNED_RANS8: &[(&str, f64, usize, u64)] = &[
+    ("mgard-rans8", 1e-4, 32867, 0x4b9f3abe8224dae6),
+    ("mgard-rans8", 1e-2, 7621, 0x2c25fbb4d07a4f97),
+    ("sz-rans8", 1e-4, 16144, 0xe178d0e15a2db58d),
+    ("sz-rans8", 1e-2, 4148, 0xc25c2cec33cc2d81),
+    ("zfp-rans8", 1e-4, 30347, 0x16b71c2ea94c2407),
+    ("zfp-rans8", 1e-2, 20274, 0xfec4b14c465c6313),
+];
+
+#[test]
+fn rans8_variant_streams_are_pinned() {
+    let field = pinned_field();
+    let registry = entropy_ablation_registry();
+    let mut arena = ScratchArena::new();
+    for &(name, eb, expected_len, expected_hash) in PINNED_RANS8 {
+        let compressor = registry.get(name).expect("registered compressor");
+        let bound = ErrorBound::Absolute(eb);
+        let fresh = compressor.compress_field(&field, bound).expect("compress");
+        assert_eq!(fresh.len(), expected_len, "{name}@{eb}: stream length changed");
+        assert_eq!(fnv(&fresh), expected_hash, "{name}@{eb}: stream bytes changed");
+        let reused =
+            compressor.compress_view_with(&field.view(), bound, &mut arena).expect("compress");
+        assert_eq!(reused, fresh, "{name}@{eb}: scratch reuse changed the stream");
+        let recon = compressor.decompress_field(&fresh).expect("decompress");
+        assert!(field.max_abs_diff(&recon) <= eb, "{name}@{eb}: bound violated");
+    }
+    assert_eq!(PINNED_RANS8.len(), 6, "each rANS8 variant at both bounds");
+}
 
 #[test]
 fn every_compressor_stream_is_byte_identical_to_pre_refactor() {
