@@ -15,6 +15,25 @@ use lcc_core::figures::{FigurePanel, GaussianFigureConfig, MirandaFigureConfig};
 use lcc_grid::io::CsvSeries;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
+
+/// A `--key value` option whose value does not parse as the type the option
+/// takes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CliError {
+    /// The option name, without the leading `--`.
+    pub flag: String,
+    /// The value given on the command line.
+    pub value: String,
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid value {:?} for --{}", self.value, self.flag)
+    }
+}
+
+impl std::error::Error for CliError {}
 
 /// Parsed command-line options shared by the figure binaries.
 ///
@@ -60,19 +79,40 @@ impl CliOptions {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// Fetch a numeric option with a default.
+    /// Parse an option's value, or return `default` when the option is
+    /// absent. A value that does not parse is an error naming the option
+    /// and the value.
+    pub fn try_get<T: FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        match self.values.get(name) {
+            None => Ok(default),
+            Some(value) => {
+                value.parse().map_err(|_| CliError { flag: name.to_string(), value: value.clone() })
+            }
+        }
+    }
+
+    /// [`CliOptions::try_get`] for the binaries: an unparseable value prints
+    /// the error and exits the process with status 2.
+    fn get_or_exit<T: FromStr>(&self, name: &str, default: T) -> T {
+        self.try_get(name, default).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Fetch a numeric option with a default (exits on an unparseable value).
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.values.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.get_or_exit(name, default)
     }
 
-    /// Fetch a u64 option with a default.
+    /// Fetch a u64 option with a default (exits on an unparseable value).
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.values.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.get_or_exit(name, default)
     }
 
-    /// Fetch a float option with a default.
+    /// Fetch a float option with a default (exits on an unparseable value).
     pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.values.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.get_or_exit(name, default)
     }
 
     /// Fetch a string option with a default.
@@ -190,6 +230,22 @@ mod tests {
         assert_eq!(opts.get_usize("ranges", 10), 10);
         assert_eq!(opts.get_f64("min-range", 2.0), 2.0);
         assert_eq!(opts.get_str("missing", "d"), "d");
+    }
+
+    #[test]
+    fn unparseable_values_are_errors_naming_the_flag_and_value() {
+        let opts = CliOptions::parse(
+            ["--chaos", "2%", "--size", "abc", "--seed", "-1", "--bound", "1e-3"]
+                .iter()
+                .map(|s| s.to_string()),
+        );
+        let err = opts.try_get("chaos", 0.0f64).unwrap_err();
+        assert_eq!(err, CliError { flag: "chaos".into(), value: "2%".into() });
+        assert_eq!(err.to_string(), "invalid value \"2%\" for --chaos");
+        assert!(opts.try_get("size", 64usize).is_err());
+        assert!(opts.try_get("seed", 1u64).is_err());
+        assert_eq!(opts.try_get("bound", 0.0f64), Ok(1e-3));
+        assert_eq!(opts.try_get("missing", 5usize), Ok(5));
     }
 
     #[test]

@@ -338,8 +338,7 @@ pub fn records_to_csv(records: &[ExperimentRecord]) -> CsvSeries {
         "local_svd_std",
         "compressor_id",
     ]);
-    for (idx, r) in records.iter().enumerate() {
-        let _ = idx;
+    for r in records {
         csv.push_row(vec![
             r.true_range.unwrap_or(f64::NAN),
             r.bound.raw_epsilon(),
@@ -355,15 +354,18 @@ pub fn records_to_csv(records: &[ExperimentRecord]) -> CsvSeries {
     csv
 }
 
-/// Stable numeric id for a compressor name (CSV cells are numeric).
-fn compressor_id(name: &str) -> f64 {
+/// Stable numeric id for a compressor name (CSV cells are numeric), shared
+/// by every CSV writer. Ids 3–5 belonged to retired 2-way rANS variants and
+/// are never reused, so an id in an old CSV keeps its meaning; unknown
+/// names map to -1.
+pub(crate) fn compressor_id(name: &str) -> f64 {
     match name {
         "sz" => 0.0,
         "zfp" => 1.0,
         "mgard" => 2.0,
-        "sz-rans" => 3.0,
-        "zfp-rans" => 4.0,
-        "mgard-rans" => 5.0,
+        "sz-rans8" => 6.0,
+        "zfp-rans8" => 7.0,
+        "mgard-rans8" => 8.0,
         _ => -1.0,
     }
 }
@@ -372,8 +374,25 @@ fn compressor_id(name: &str) -> f64 {
 mod tests {
     use super::*;
     use crate::dataset::StudyDatasets;
-    use crate::registry::default_registry;
+    use crate::registry::{default_registry, entropy_ablation_registry};
     use crate::statistics::StatisticKind;
+
+    #[test]
+    fn every_ablation_compressor_has_a_distinct_csv_id() {
+        let registry = entropy_ablation_registry();
+        let mut ids: Vec<i64> = registry
+            .names()
+            .iter()
+            .map(|name| {
+                let id = compressor_id(name);
+                assert!(id >= 0.0, "{name} has no CSV id");
+                id as i64
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), registry.len(), "CSV ids collide");
+    }
 
     fn quick_config() -> SweepConfig {
         SweepConfig {

@@ -6,7 +6,7 @@
 //!     --duration-ms 2000 --workers 4 --sizes 64,96,128 --out target/bench
 //! ```
 //!
-//! Drives N concurrent workers through all 30 registry variants (9 codecs ×
+//! Drives N concurrent workers through all 21 registry variants (6 codecs ×
 //! {single-stream, framed, framed+checksummed} plus the three archive
 //! region-read variants) with a seeded deterministic request mix, prints a
 //! per-variant p50/p99/MB-per-core table and the decoded-tile-cache summary,
@@ -70,11 +70,11 @@ fn main() {
     if !sizes.is_empty() {
         config.sizes = sizes;
     }
-    // Guarantee at least two full round-robins over the variant table (30
+    // Guarantee at least two full round-robins over the variant table (21
     // rows, or just the 3 region rows under --regions-only) so even a
     // near-zero duration produces a row (with a warmup-free histogram) for
     // every variant.
-    config.min_requests = if regions_only { 6 } else { 60 };
+    config.min_requests = if regions_only { 6 } else { 42 };
 
     let report = match run_load(&config) {
         Ok(report) => report,

@@ -4,7 +4,7 @@
 //! the production question: what latency distribution and per-core
 //! throughput does the codec stack sustain under *concurrent mixed
 //! traffic*? A seeded deterministic [`schedule`] drives N worker threads
-//! through the full [`entropy_ablation_registry`] — all nine codec
+//! through the full [`entropy_ablation_registry`] — all six codec
 //! variants, each in single-stream, `LCCF`-framed, and checksummed-framed
 //! (`+framed+ck`, per-block XXH64 verified on decode) form, over mixed
 //! field sizes — via the bounded work queue in [`lcc_par::queue`]
@@ -23,7 +23,7 @@
 //! per core, and — with the `loadgen-alloc` feature — steady-state
 //! allocations per request.
 //!
-//! On top of the 27 round-trip variants, three **region-read** variants
+//! On top of the 18 round-trip variants, three **region-read** variants
 //! (`region_sz-rans8`, `region_zfp-rans8`, `region_mgard-rans8`) serve
 //! tile-sized windows out of an in-memory tiled [`lcc_archive`] through a
 //! shared decoded-tile cache, with a Zipf-skewed window popularity
@@ -877,19 +877,9 @@ mod tests {
     #[test]
     fn variant_table_is_all_codecs_single_then_framed_then_checksummed() {
         let variants = build_variants(false);
-        assert_eq!(variants.len(), 30);
+        assert_eq!(variants.len(), 21);
         let labels: Vec<&str> = variants.iter().map(|v| v.label.as_str()).collect();
-        let codecs = [
-            "mgard",
-            "mgard-rans",
-            "mgard-rans8",
-            "sz",
-            "sz-rans",
-            "sz-rans8",
-            "zfp",
-            "zfp-rans",
-            "zfp-rans8",
-        ];
+        let codecs = ["mgard", "mgard-rans8", "sz", "sz-rans8", "zfp", "zfp-rans8"];
         let expected: Vec<String> = codecs
             .iter()
             .map(|c| c.to_string())
@@ -898,10 +888,10 @@ mod tests {
             .chain(REGION_CODECS.iter().map(|c| format!("region_{c}")))
             .collect();
         assert_eq!(labels, expected);
-        assert!(variants[..9].iter().all(|v| v.mode == VariantMode::Single));
-        assert!(variants[9..18].iter().all(|v| v.mode == VariantMode::Framed));
-        assert!(variants[18..27].iter().all(|v| v.mode == VariantMode::FramedChecksummed));
-        assert!(variants[27..].iter().enumerate().all(|(k, v)| v.mode == VariantMode::Region(k)));
+        assert!(variants[..6].iter().all(|v| v.mode == VariantMode::Single));
+        assert!(variants[6..12].iter().all(|v| v.mode == VariantMode::Framed));
+        assert!(variants[12..18].iter().all(|v| v.mode == VariantMode::FramedChecksummed));
+        assert!(variants[18..].iter().enumerate().all(|(k, v)| v.mode == VariantMode::Region(k)));
     }
 
     #[test]

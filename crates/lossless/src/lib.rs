@@ -10,16 +10,14 @@
 //! * [`huffman`] — canonical Huffman coding over `u32` symbols with an
 //!   embedded code-length table (table-driven encode and LUT decode),
 //! * [`lz77`] — greedy hash-chain LZ77 with byte-oriented token encoding,
-//! * [`rans`] — 2-way and 8-way interleaved byte-oriented rANS coders
-//!   (shared 12-bit normalized tables, self-describing mode byte), the
-//!   fast-path entropy backends of the ratio-vs-throughput ablation; the
-//!   8-way format splits its payload into per-lane buffers so the decoder
-//!   runs eight independent chains (SSE4.1 unrolled, AVX2 two 4×u64 state
-//!   vectors with gathered slot lookups); [`pipeline::EntropyBackend`]
-//!   names the Huffman/rANS/rANS-8 choice the compressors thread through
-//!   their streams,
-//! * [`rle`] — zero-run-length pre-pass that pairs well with quantization
-//!   codes dominated by the "perfectly predicted" symbol,
+//!   the stand-in for the Zstd pass of SZ/MGARD,
+//! * [`rans`] — the 8-way interleaved byte-oriented rANS coder (12-bit
+//!   normalized tables, self-describing mode byte), the fast-path entropy
+//!   backend of the ratio-vs-throughput ablation: the payload is split
+//!   into per-lane buffers so the decoder runs eight independent chains
+//!   (SSE4.1 unrolled, AVX2 two 4×u64 state vectors with gathered slot
+//!   lookups); [`EntropyBackend`] names the Huffman/rANS-8 choice the
+//!   compressors thread through their streams,
 //! * [`dispatch`] — one-time runtime SIMD feature detection
 //!   ([`SimdLevel`], the `LCC_SIMD` override); the rANS decode loop, the
 //!   LZ77 comparator, and the [`xxhash`] stripe loop pick their widest
@@ -27,9 +25,6 @@
 //!   streams at every tier,
 //! * [`xxhash`] — XXH64 checksums (scalar + AVX2 stripe loop) used for the
 //!   framed container's optional per-block integrity checksums,
-//! * [`pipeline`] — the composition `Huffman → LZ77` exposed through the
-//!   [`pipeline::ByteCodec`] trait, mirroring the role Zstd plays for
-//!   SZ/MGARD,
 //! * [`scratch`] — the [`CodecScratch`] arena holding every reusable buffer
 //!   of the Huffman/LZ77 hot paths; the `*_with` entry points
 //!   ([`huffman_encode_with`], [`huffman_decode_with`],
@@ -43,9 +38,7 @@ pub mod bitstream;
 pub mod dispatch;
 pub mod huffman;
 pub mod lz77;
-pub mod pipeline;
 pub mod rans;
-pub mod rle;
 pub mod scratch;
 pub mod xxhash;
 
@@ -56,15 +49,39 @@ pub use lz77::{
     lz77_compress, lz77_compress_with, lz77_compress_with_at, lz77_decompress,
     lz77_decompress_into, match_length_at,
 };
-pub use pipeline::{ByteCodec, EntropyBackend, HuffLzCodec, RansCodec, RawCodec};
-pub use rans::{
-    rans8_decode, rans8_decode_bytes_with, rans8_decode_bytes_with_at, rans8_decode_with,
-    rans8_decode_with_at, rans8_encode, rans8_encode_bytes_with, rans8_encode_with, rans_decode,
-    rans_decode_bytes_with, rans_decode_bytes_with_at, rans_decode_with, rans_decode_with_at,
-    rans_encode, rans_encode_bytes_with, rans_encode_with, RansScratch,
-};
+pub use rans::{rans8_decode, rans8_decode_at, rans8_encode, RansScratch, RansSymbol};
 pub use scratch::CodecScratch;
 pub use xxhash::{xxh64, xxh64_at};
+
+/// The entropy-coder choice of a compressor's lossless stage — the
+/// ratio-vs-throughput ablation axis. Every stream self-describes its
+/// backend (a tag or magic variant), so any decoder accepts both; the enum
+/// only selects what the *encoder* emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EntropyBackend {
+    /// Canonical Huffman (plus the historical LZ77 pass where the codec
+    /// applies one) — the default; streams are byte-identical to every
+    /// release before the backend existed.
+    #[default]
+    Huffman,
+    /// 8-way interleaved rANS ([`rans8_encode`]): fractional-bit coding
+    /// from 12-bit normalized tables, skipping the follow-up LZ77 pass
+    /// (rANS output is already near the entropy, so a second pass buys
+    /// ~nothing while costing most of the encode time); eight independent
+    /// decode chains let the dispatched decoder run wide — the
+    /// throughput-first backend.
+    Rans8,
+}
+
+impl EntropyBackend {
+    /// Short name used in compressor registry keys (`sz` vs `sz-rans8`).
+    pub fn name(self) -> &'static str {
+        match self {
+            EntropyBackend::Huffman => "huffman",
+            EntropyBackend::Rans8 => "rans8",
+        }
+    }
+}
 
 /// Errors produced while decoding a lossless stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +163,13 @@ mod tests {
     fn varint_rejects_overlong() {
         let buf = [0x80u8; 11];
         assert!(matches!(read_varint(&buf), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn entropy_backend_default_and_names() {
+        assert_eq!(EntropyBackend::default(), EntropyBackend::Huffman);
+        assert_eq!(EntropyBackend::Huffman.name(), "huffman");
+        assert_eq!(EntropyBackend::Rans8.name(), "rans8");
     }
 
     #[test]

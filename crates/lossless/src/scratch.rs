@@ -14,6 +14,7 @@
 //! produce byte-identical streams.
 
 use crate::bitstream::BitWriter;
+use crate::rans::RansSymbol;
 
 /// Sentinel for "no position" in the LZ77 hash chains.
 pub(crate) const CHAIN_NIL: u32 = u32::MAX;
@@ -150,28 +151,6 @@ impl SymbolMap {
     }
 }
 
-/// Input symbol types the alphabet machinery accepts: the coders work over
-/// `u32` symbols, and the byte-oriented entry points feed `u8` streams
-/// through the same histogram without widening the input first.
-pub(crate) trait SymbolLike: Copy {
-    /// The `u32` symbol value this input element codes for.
-    fn sym(self) -> u32;
-}
-
-impl SymbolLike for u32 {
-    #[inline(always)]
-    fn sym(self) -> u32 {
-        self
-    }
-}
-
-impl SymbolLike for u8 {
-    #[inline(always)]
-    fn sym(self) -> u32 {
-        u32::from(self)
-    }
-}
-
 /// How the per-call symbol tables are addressed: densely by
 /// `symbol − min_symbol`, or through the scratch's symbol map.
 #[derive(Clone, Copy)]
@@ -185,7 +164,7 @@ pub(crate) enum TableMode {
 /// span. Shared by the Huffman and rANS coders (the first stage of both);
 /// the caller hands in the reusable buffers of its scratch. The dense `hist`
 /// keeps its all-zero between-calls invariant (used entries are re-zeroed).
-pub(crate) fn build_alphabet_into<S: SymbolLike>(
+pub(crate) fn build_alphabet_into<S: RansSymbol>(
     hist: &mut Vec<u64>,
     sym_map: &mut SymbolMap,
     slot_counts: &mut Vec<u64>,

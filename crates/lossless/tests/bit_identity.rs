@@ -13,8 +13,7 @@
 
 use lcc_lossless::{
     huffman_decode, huffman_encode, huffman_encode_with, lz77_compress, lz77_compress_with,
-    lz77_decompress, rans8_decode_bytes_with, rans8_decode_with, rans8_encode_bytes_with,
-    rans8_encode_with, CodecScratch, RansScratch,
+    lz77_decompress, rans8_decode, rans8_encode, CodecScratch, RansScratch,
 };
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -123,9 +122,9 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// that the stream decodes back to its input.
 fn rans8_u32(scratch: &mut RansScratch, symbols: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
-    rans8_encode_with(scratch, symbols, &mut out);
-    let mut back = Vec::new();
-    let used = rans8_decode_with(scratch, &out, &mut back).expect("rans8 decode");
+    rans8_encode(scratch, symbols, &mut out);
+    let mut back: Vec<u32> = Vec::new();
+    let used = rans8_decode(scratch, &out, &mut back).expect("rans8 decode");
     assert_eq!(back, symbols, "rans8 stream no longer decodes to its input");
     assert_eq!(used, out.len(), "rans8 consumed length changed");
     out
@@ -134,9 +133,9 @@ fn rans8_u32(scratch: &mut RansScratch, symbols: &[u32]) -> Vec<u8> {
 /// [`rans8_u32`] over a byte input.
 fn rans8_u8(scratch: &mut RansScratch, bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    rans8_encode_bytes_with(scratch, bytes, &mut out);
-    let mut back = Vec::new();
-    let used = rans8_decode_bytes_with(scratch, &out, &mut back).expect("rans8 decode");
+    rans8_encode(scratch, bytes, &mut out);
+    let mut back: Vec<u8> = Vec::new();
+    let used = rans8_decode(scratch, &out, &mut back).expect("rans8 decode");
     assert_eq!(back, bytes, "rans8 stream no longer decodes to its input");
     assert_eq!(used, out.len(), "rans8 consumed length changed");
     out

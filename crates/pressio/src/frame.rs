@@ -93,8 +93,8 @@
 //! magic: no `LCCF` prefix means passthrough. The magic cannot collide with
 //! the inner codecs' streams (SZ/MGARD Huffman streams open with an LZ77
 //! varint whose next byte is a token tag of `0x00`/`0x01`, never `b'C'`;
-//! their rANS containers open with the magics `LSR1`/`LMR1`, whose second
-//! byte is never `b'C'`; ZFP streams open with a `0`/`1`/`2` container tag,
+//! their rANS containers open with the magics `LS81`/`LM81`, whose second
+//! byte is never `b'C'`; ZFP streams open with a `0`/`1`/`3` container tag,
 //! never `b'L'`).
 //!
 //! ## Pipelined encode assembly

@@ -41,9 +41,8 @@ pub mod transform;
 
 use lcc_grid::{Field2D, FieldView};
 use lcc_lossless::{
-    lz77_compress_with, lz77_decompress_into, rans8_decode_bytes_with, rans8_encode_bytes_with,
-    rans_decode_bytes_with, rans_encode_bytes_with, BitReader, BitWriter, CodecScratch,
-    EntropyBackend, RansScratch,
+    lz77_compress_with, lz77_decompress_into, rans8_decode, rans8_encode, BitReader, BitWriter,
+    CodecScratch, EntropyBackend, RansScratch,
 };
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 
@@ -64,10 +63,10 @@ pub struct ZfpConfig {
     pub lossless_pass: bool,
     /// Which lossless pass `lossless_pass` applies:
     /// [`EntropyBackend::Huffman`] keeps the historical LZ77 container
-    /// (tag 1, byte-identical to earlier releases),
-    /// [`EntropyBackend::Rans`] codes the bit-stream bytes with 2-way
-    /// interleaved rANS (tag 2), and [`EntropyBackend::Rans8`] with the
-    /// 8-way format (tag 3). Ignored when `lossless_pass` is `false`.
+    /// (tag 1, byte-identical to earlier releases), and
+    /// [`EntropyBackend::Rans8`] codes the bit-stream bytes with 8-way
+    /// interleaved rANS (tag 3; tag 2 belonged to a retired 2-way format
+    /// and is rejected). Ignored when `lossless_pass` is `false`.
     pub entropy: EntropyBackend,
 }
 
@@ -93,19 +92,9 @@ impl ZfpCompressor {
         ZfpCompressor { config }
     }
 
-    /// Create the rANS-container variant (registry name `zfp-rans`): the
-    /// bit-plane stream wrapped in an interleaved-rANS lossless pass.
-    pub fn rans() -> Self {
-        ZfpCompressor::new(ZfpConfig {
-            lossless_pass: true,
-            entropy: EntropyBackend::Rans,
-            ..ZfpConfig::default()
-        })
-    }
-
-    /// Create the 8-way rANS variant (registry name `zfp-rans8`): same
-    /// pipeline as [`ZfpCompressor::rans`] with the lane-parallel stream
-    /// format (container tag 3).
+    /// Create the 8-way rANS variant (registry name `zfp-rans8`): the
+    /// bit-plane stream wrapped in a lane-parallel interleaved-rANS lossless
+    /// pass (container tag 3).
     pub fn rans8() -> Self {
         ZfpCompressor::new(ZfpConfig {
             lossless_pass: true,
@@ -130,7 +119,7 @@ const MAGIC: &[u8; 4] = b"LZF1";
 pub struct ZfpScratch {
     writer: BitWriter,
     codec: CodecScratch,
-    /// rANS working memory (the tag-2 `zfp-rans` container).
+    /// rANS working memory (the tag-3 `zfp-rans8` container).
     rans: RansScratch,
     /// Decode side: the expanded bit stream (tag-1 LZ77 and tag-2 rANS
     /// containers; tag-0 streams are read in place without a copy).
@@ -193,14 +182,9 @@ impl ZfpCompressor {
                     lz77_compress_with(&mut s.codec, bits, &mut out);
                     Ok(out)
                 }
-                EntropyBackend::Rans => {
-                    let mut out = vec![2u8];
-                    rans_encode_bytes_with(&mut s.rans, bits, &mut out);
-                    Ok(out)
-                }
                 EntropyBackend::Rans8 => {
                     let mut out = vec![3u8];
-                    rans8_encode_bytes_with(&mut s.rans, bits, &mut out);
+                    rans8_encode(&mut s.rans, bits, &mut out);
                     Ok(out)
                 }
             }
@@ -216,7 +200,6 @@ impl ZfpCompressor {
 impl Compressor for ZfpCompressor {
     fn name(&self) -> &str {
         match (self.config.lossless_pass, self.config.entropy) {
-            (true, EntropyBackend::Rans) => "zfp-rans",
             (true, EntropyBackend::Rans8) => "zfp-rans8",
             _ => "zfp",
         }
@@ -224,10 +207,6 @@ impl Compressor for ZfpCompressor {
 
     fn description(&self) -> &str {
         match (self.config.lossless_pass, self.config.entropy) {
-            (true, EntropyBackend::Rans) => {
-                "ZFP-style 4x4 block transform coding with bit-plane truncation and interleaved \
-                 rANS"
-            }
             (true, EntropyBackend::Rans8) => {
                 "ZFP-style 4x4 block transform coding with bit-plane truncation and 8-way \
                  interleaved rANS"
@@ -270,13 +249,8 @@ impl Compressor for ZfpCompressor {
                     .map_err(|e| CompressError::CorruptStream(format!("lz77: {e}")))?;
                 &s.body
             }
-            2 => {
-                rans_decode_bytes_with(&mut s.rans, &stream[1..], &mut s.body)
-                    .map_err(|e| CompressError::CorruptStream(format!("rans: {e}")))?;
-                &s.body
-            }
             3 => {
-                rans8_decode_bytes_with(&mut s.rans, &stream[1..], &mut s.body)
+                rans8_decode(&mut s.rans, &stream[1..], &mut s.body)
                     .map_err(|e| CompressError::CorruptStream(format!("rans8: {e}")))?;
                 &s.body
             }
@@ -491,9 +465,6 @@ mod tests {
         assert_eq!(zfp.name(), "zfp");
         assert!(zfp.description().contains("4x4"));
         assert_eq!(zfp.config().precision_bits, 40);
-        let rans = ZfpCompressor::rans();
-        assert_eq!(rans.name(), "zfp-rans");
-        assert!(rans.config().lossless_pass);
         let rans8 = ZfpCompressor::rans8();
         assert_eq!(rans8.name(), "zfp-rans8");
         assert!(rans8.description().contains("8-way"));
@@ -502,28 +473,21 @@ mod tests {
 
     #[test]
     fn rans_container_respects_bounds_and_decodes_identically() {
-        // All four containers carry the same bit-plane stream, so every
+        // All three containers carry the same bit-plane stream, so every
         // decode must agree bit for bit, from any compressor instance.
         let raw = ZfpCompressor::default();
         let lz = ZfpCompressor::new(ZfpConfig { lossless_pass: true, ..Default::default() });
-        let rans = ZfpCompressor::rans();
         let rans8 = ZfpCompressor::rans8();
         for field in [smooth(64), rough(64, 5)] {
             for eb in [1e-4, 1e-2] {
                 let a = raw.compress(&field, ErrorBound::Absolute(eb)).unwrap();
                 let b = lz.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                let c = rans.compress(&field, ErrorBound::Absolute(eb)).unwrap();
                 let d = rans8.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                assert!(c.metrics.max_abs_error <= eb);
                 assert!(d.metrics.max_abs_error <= eb);
                 assert_eq!(a.reconstruction, b.reconstruction);
-                assert_eq!(a.reconstruction, c.reconstruction);
                 assert_eq!(a.reconstruction, d.reconstruction);
-                assert_eq!(c.stream[0], 2, "rans container tag");
                 assert_eq!(d.stream[0], 3, "rans8 container tag");
-                assert_eq!(raw.decompress_field(&c.stream).unwrap(), c.reconstruction);
                 assert_eq!(raw.decompress_field(&d.stream).unwrap(), d.reconstruction);
-                assert_eq!(rans.decompress_field(&a.stream).unwrap(), a.reconstruction);
                 assert_eq!(rans8.decompress_field(&a.stream).unwrap(), a.reconstruction);
             }
         }
@@ -531,12 +495,13 @@ mod tests {
 
     #[test]
     fn rans_container_rejects_corruption_and_unknown_tags() {
-        for compressor in [ZfpCompressor::rans(), ZfpCompressor::rans8()] {
-            let stream =
-                compressor.compress_field(&smooth(32), ErrorBound::Absolute(1e-3)).unwrap();
-            assert!(compressor.decompress_field(&stream[..stream.len() / 3]).is_err());
+        let compressor = ZfpCompressor::rans8();
+        let stream = compressor.compress_field(&smooth(32), ErrorBound::Absolute(1e-3)).unwrap();
+        assert!(compressor.decompress_field(&stream[..stream.len() / 3]).is_err());
+        // Tag 2 (the retired 2-way rANS container) is as unknown as tag 4.
+        for tag in [2u8, 4] {
             let mut bad = stream.clone();
-            bad[0] = 4; // unknown container tag
+            bad[0] = tag;
             assert!(matches!(
                 compressor.decompress_field(&bad),
                 Err(CompressError::CorruptStream(msg)) if msg.contains("unknown container tag")

@@ -8,7 +8,9 @@
 //!   corrupt-frame suite pinned the `LCCF` header: truncated frequency
 //!   tables, frequencies that do not sum to `1 << 12`, unknown backend/mode
 //!   bytes and forged giant headers all surface `CompressError` with
-//!   allocation bounded by the actual stream.
+//!   allocation bounded by the actual stream,
+//! * the retired 2-way rANS forms (mode-0 sections, `LSR1`/`LMR1`
+//!   containers, ZFP tag 2) are rejected as corrupt streams.
 
 use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::entropy_ablation_registry;
@@ -33,17 +35,14 @@ fn wavy(ny: usize, nx: usize, seed: u64) -> Field2D {
     })
 }
 
-/// Huffman-baseline vs rANS-variant pairs: both the 2-way and the 8-way
-/// interleaved backend of every codec, so each pair-driven invariant below
-/// (bit-identical decode, cross-decode, scratch stability, framing,
-/// truncation) covers the whole backend axis.
+/// Huffman-baseline vs rANS-variant pairs: the 8-way interleaved backend
+/// of every codec, so each pair-driven invariant below (bit-identical
+/// decode, cross-decode, scratch stability, framing, truncation) covers the
+/// whole backend axis.
 fn backend_pairs() -> Vec<(Box<dyn Compressor>, Box<dyn Compressor>)> {
     vec![
-        (Box::new(SzCompressor::default()), Box::new(SzCompressor::rans())),
         (Box::new(SzCompressor::default()), Box::new(SzCompressor::rans8())),
-        (Box::new(ZfpCompressor::default()), Box::new(ZfpCompressor::rans())),
         (Box::new(ZfpCompressor::default()), Box::new(ZfpCompressor::rans8())),
-        (Box::new(MgardCompressor::default()), Box::new(MgardCompressor::rans())),
         (Box::new(MgardCompressor::default()), Box::new(MgardCompressor::rans8())),
     ]
 }
@@ -151,41 +150,27 @@ fn sweep_exercises_both_backends() {
     let registry = entropy_ablation_registry();
     let config = SweepConfig { bounds: vec![ErrorBound::Absolute(1e-3)], ..SweepConfig::default() };
     let records = run_sweep(&fields, &registry, &config).unwrap();
-    assert_eq!(records.len(), 9, "one record per registry variant");
+    assert_eq!(records.len(), 6, "one record per registry variant");
     let names: Vec<&str> = records.iter().map(|r| r.compressor.as_ref()).collect();
-    for name in [
-        "sz",
-        "sz-rans",
-        "sz-rans8",
-        "zfp",
-        "zfp-rans",
-        "zfp-rans8",
-        "mgard",
-        "mgard-rans",
-        "mgard-rans8",
-    ] {
+    for name in ["sz", "sz-rans8", "zfp", "zfp-rans8", "mgard", "mgard-rans8"] {
         assert!(names.contains(&name), "sweep is missing {name}");
     }
     // Backend variants must report identical error metrics (identical decode).
     for base in ["sz", "zfp", "mgard"] {
         let h = records.iter().find(|r| r.compressor.as_ref() == base).unwrap();
-        for suffix in ["-rans", "-rans8"] {
-            let r = records
-                .iter()
-                .find(|r| r.compressor.as_ref() == format!("{base}{suffix}"))
-                .unwrap();
-            assert_eq!(h.max_abs_error, r.max_abs_error, "{base}{suffix} disagrees on error");
-            assert!(r.compression_ratio > 1.0);
-        }
+        let r = records.iter().find(|r| r.compressor.as_ref() == format!("{base}-rans8")).unwrap();
+        assert_eq!(h.max_abs_error, r.max_abs_error, "{base}-rans8 disagrees on error");
+        assert!(r.compression_ratio > 1.0);
     }
 }
 
-// ---- corrupt-stream hardening for the new tags ------------------------------
+// ---- corrupt-stream hardening for the rANS tags ------------------------------
 
-/// Hand-assemble an `LSR1` SZ container around the given rANS codes section.
-fn forge_sz_rans_container(ny: u64, nx: u64, rans_section: &[u8]) -> Vec<u8> {
+/// Hand-assemble an SZ container with the given magic around the given
+/// rANS codes section.
+fn forge_sz_container(magic: &[u8; 4], ny: u64, nx: u64, rans_section: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(b"LSR1");
+    out.extend_from_slice(magic);
     out.extend_from_slice(&ny.to_le_bytes());
     out.extend_from_slice(&nx.to_le_bytes());
     out.extend_from_slice(&1e-3f64.to_le_bytes());
@@ -203,16 +188,47 @@ fn forge_sz_rans_container(ny: u64, nx: u64, rans_section: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A syntactically valid rANS section for `n` copies of one symbol.
+/// Hand-assemble an `LS81` SZ container around the given rANS codes section.
+fn forge_sz_rans_container(ny: u64, nx: u64, rans_section: &[u8]) -> Vec<u8> {
+    forge_sz_container(b"LS81", ny, nx, rans_section)
+}
+
+/// Hand-assemble an MGARD container with the given magic around the given
+/// rANS coefficient section.
+fn forge_mgard_container(magic: &[u8; 4], rans_section: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&16u64.to_le_bytes());
+    out.extend_from_slice(&16u64.to_le_bytes());
+    out.extend_from_slice(&1e-3f64.to_le_bytes());
+    out.extend_from_slice(&2u32.to_le_bytes()); // levels
+    out.extend_from_slice(&(1u32 << 30).to_le_bytes()); // radius
+    out.extend_from_slice(&(rans_section.len() as u64).to_le_bytes());
+    out.extend_from_slice(rans_section);
+    out.extend_from_slice(&0u64.to_le_bytes()); // n_exact
+    out
+}
+
+/// Append a seeds-only 8-way payload: the payload length, eight 4-byte lane
+/// lengths and the eight seed states.
+fn push_seed_payload(s: &mut Vec<u8>) {
+    push_varint(s, 32);
+    for _ in 0..8 {
+        push_varint(s, 4);
+    }
+    for _ in 0..8 {
+        s.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    }
+}
+
+/// A syntactically valid 8-way rANS section for `n` copies of one symbol.
 fn valid_rans_section(n: u64, symbol: u64) -> Vec<u8> {
-    let mut s = vec![0u8]; // mode 0 = rANS
+    let mut s = vec![2u8]; // mode 2 = 8-way rANS
     push_varint(&mut s, n);
     push_varint(&mut s, 1); // alphabet size
     push_varint(&mut s, symbol);
     push_varint(&mut s, 4096); // freq = full scale
-    push_varint(&mut s, 8); // payload: just the two seed states
-    s.extend_from_slice(&(1u32 << 23).to_le_bytes());
-    s.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    push_seed_payload(&mut s);
     s
 }
 
@@ -237,9 +253,9 @@ fn assert_corrupt(compressor: &dyn Compressor, stream: &[u8], what: &str) {
 
 #[test]
 fn truncated_rans_frequency_table_is_rejected() {
-    let sz = SzCompressor::rans();
+    let sz = SzCompressor::rans8();
     // A section claiming 4096 table entries with almost none present.
-    let mut section = vec![0u8];
+    let mut section = vec![2u8];
     push_varint(&mut section, 100); // n_symbols
     push_varint(&mut section, 4096); // alphabet_size
     push_varint(&mut section, 1); // one lonely entry…
@@ -249,65 +265,104 @@ fn truncated_rans_frequency_table_is_rejected() {
 
 #[test]
 fn rans_frequencies_must_sum_to_the_12_bit_scale() {
-    let sz = SzCompressor::rans();
-    let mgard = MgardCompressor::rans();
-    let mut section = vec![0u8];
+    let sz = SzCompressor::rans8();
+    let mgard = MgardCompressor::rans8();
+    let mut section = vec![2u8];
     push_varint(&mut section, 256); // n_symbols (= 16×16 cells)
     push_varint(&mut section, 2);
     push_varint(&mut section, 0);
     push_varint(&mut section, 2048);
     push_varint(&mut section, 1);
     push_varint(&mut section, 2047); // sums to 4095, not 4096
-    push_varint(&mut section, 8);
-    section.extend_from_slice(&(1u32 << 23).to_le_bytes());
-    section.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    push_seed_payload(&mut section);
     assert_corrupt(&sz, &forge_sz_rans_container(16, 16, &section), "bad freq sum (sz)");
-
-    // Same section inside an MGARD `LMR1` container.
-    let mut out = Vec::new();
-    out.extend_from_slice(b"LMR1");
-    out.extend_from_slice(&16u64.to_le_bytes());
-    out.extend_from_slice(&16u64.to_le_bytes());
-    out.extend_from_slice(&1e-3f64.to_le_bytes());
-    out.extend_from_slice(&2u32.to_le_bytes()); // levels
-    out.extend_from_slice(&(1u32 << 30).to_le_bytes()); // radius
-    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
-    out.extend_from_slice(&section);
-    out.extend_from_slice(&0u64.to_le_bytes()); // n_exact
-    assert_corrupt(&mgard, &out, "bad freq sum (mgard)");
+    // Same section inside an MGARD `LM81` container.
+    assert_corrupt(&mgard, &forge_mgard_container(b"LM81", &section), "bad freq sum (mgard)");
 }
 
 #[test]
 fn unknown_backend_bytes_are_rejected() {
     // Unknown mode byte inside an otherwise valid rANS section.
-    let sz = SzCompressor::rans();
+    let sz = SzCompressor::rans8();
     let mut section = valid_rans_section(256, 40000);
     section[0] = 9;
     assert_corrupt(&sz, &forge_sz_rans_container(16, 16, &section), "unknown rans mode");
 
-    // Unknown ZFP container tag (3 is now the valid rans8 tag, so the first
-    // unknown value is 4).
-    let zfp = ZfpCompressor::rans();
+    // Unknown ZFP container tag.
+    let zfp = ZfpCompressor::rans8();
     let field = wavy(16, 16, 5);
     let mut stream = zfp.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
-    assert_eq!(stream[0], 2, "rans container tag");
+    assert_eq!(stream[0], 3, "rans8 container tag");
     stream[0] = 4;
     assert_corrupt(&zfp, &stream, "unknown zfp tag");
+}
 
-    // Forging the 2-way tag into the 8-way tag must be rejected by the
-    // rans8 decoder's mode byte (and vice versa) — the formats do not alias.
-    stream[0] = 3;
-    assert_corrupt(&zfp, &stream, "rans stream behind rans8 tag");
-    let zfp8 = ZfpCompressor::rans8();
-    let mut stream8 = zfp8.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
-    assert_eq!(stream8[0], 3, "rans8 container tag");
-    stream8[0] = 2;
-    assert_corrupt(&zfp8, &stream8, "rans8 stream behind rans tag");
+#[test]
+fn retired_two_way_rans_streams_are_rejected() {
+    // The 2-way rANS format is gone from every layer: its mode-0 sections,
+    // the `LSR1`/`LMR1` containers and ZFP container tag 2 are unknown
+    // values now, and every decoder rejects them as corrupt (no panic).
+    let field = wavy(16, 16, 29);
+    let bound = ErrorBound::Absolute(1e-3);
+
+    // A 2-way layout section (mode 0, two seed states) behind the 8-way
+    // magics.
+    let mut mode0 = vec![0u8];
+    push_varint(&mut mode0, 256);
+    push_varint(&mut mode0, 1);
+    push_varint(&mut mode0, 7);
+    push_varint(&mut mode0, 4096);
+    push_varint(&mut mode0, 8);
+    mode0.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    mode0.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    let mut mode0_in_valid = valid_rans_section(256, 7);
+    mode0_in_valid[0] = 0;
+
+    for (huff, rans) in backend_pairs() {
+        let stream = rans.compress_field(&field, bound).unwrap();
+        let mut retired = Vec::new();
+        match rans.name() {
+            "sz-rans8" => {
+                assert!(stream.starts_with(b"LS81"));
+                for section in [&mode0, &mode0_in_valid] {
+                    retired.push(forge_sz_rans_container(16, 16, section));
+                    retired.push(forge_sz_container(b"LSR1", 16, 16, section));
+                }
+                let mut renamed = stream.clone();
+                renamed[..4].copy_from_slice(b"LSR1");
+                retired.push(renamed);
+            }
+            "mgard-rans8" => {
+                assert!(stream.starts_with(b"LM81"));
+                for section in [&mode0, &mode0_in_valid] {
+                    retired.push(forge_mgard_container(b"LM81", section));
+                    retired.push(forge_mgard_container(b"LMR1", section));
+                }
+                let mut renamed = stream.clone();
+                renamed[..4].copy_from_slice(b"LMR1");
+                retired.push(renamed);
+            }
+            "zfp-rans8" => {
+                assert_eq!(stream[0], 3);
+                let mut tag2 = stream.clone();
+                tag2[0] = 2;
+                retired.push(tag2);
+                let mut tag3_mode0 = stream.clone();
+                tag3_mode0[1] = 0;
+                retired.push(tag3_mode0);
+            }
+            other => panic!("unexpected backend variant {other}"),
+        }
+        for (k, bad) in retired.iter().enumerate() {
+            assert_corrupt(rans.as_ref(), bad, &format!("{} retired form {k}", rans.name()));
+            assert_corrupt(huff.as_ref(), bad, &format!("{} retired form {k}", huff.name()));
+        }
+    }
 }
 
 #[test]
 fn forged_giant_rans_headers_fail_before_allocating() {
-    let sz = SzCompressor::rans();
+    let sz = SzCompressor::rans8();
     // ny·nx wrapping to 0 must die at the checked cell count.
     let section = valid_rans_section(0, 0);
     assert_corrupt(&sz, &forge_sz_rans_container(1 << 32, 1 << 32, &section), "wrapping cells");

@@ -10,14 +10,27 @@
 use lcc::grid::{stats, Field2D};
 use lcc::lossless::{
     huffman_decode, huffman_decode_with, huffman_encode, huffman_encode_with, lz77_compress,
-    lz77_compress_with, lz77_decompress, rans_decode, rans_decode_with, rans_encode,
-    rans_encode_with, ByteCodec, CodecScratch, HuffLzCodec, RansCodec, RansScratch,
+    lz77_compress_with, lz77_decompress, rans8_decode, rans8_encode, CodecScratch, RansScratch,
 };
 use lcc::mgard::MgardCompressor;
 use lcc::pressio::{Compressor, ErrorBound};
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
 use proptest::prelude::*;
+
+/// 8-way rANS encode on a fresh scratch.
+fn rans_encode(symbols: &[u32]) -> Vec<u8> {
+    let mut out = Vec::new();
+    rans8_encode(&mut RansScratch::new(), symbols, &mut out);
+    out
+}
+
+/// 8-way rANS decode on a fresh scratch: the symbols and bytes consumed.
+fn rans_decode(bytes: &[u8]) -> (Vec<u32>, usize) {
+    let mut out = Vec::new();
+    let used = rans8_decode(&mut RansScratch::new(), bytes, &mut out).expect("decode");
+    (out, used)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -35,14 +48,6 @@ proptest! {
         let compressed = lz77_compress(&data);
         let back = lz77_decompress(&compressed).expect("decode");
         prop_assert_eq!(back, data);
-    }
-
-    #[test]
-    fn hufflz_pipeline_roundtrips_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..10_000)) {
-        let codec = HuffLzCodec;
-        let encoded = codec.encode(&data);
-        let decoded = codec.decode(&encoded).expect("decode");
-        prop_assert_eq!(decoded, data);
     }
 
     /// Degenerate alphabet: any symbol value, any multiplicity — the
@@ -112,15 +117,16 @@ proptest! {
 
     /// rANS degenerate alphabet: any symbol value, any multiplicity. The
     /// full-scale frequency makes the encode step the identity, so the
-    /// stream must stay tiny regardless of the count.
+    /// stream is the header plus the eight seed states regardless of the
+    /// count.
     #[test]
     fn rans_single_symbol_alphabet_roundtrips(sym in any::<u32>(), count in 0usize..3000) {
         let symbols = vec![sym; count];
         let encoded = rans_encode(&symbols);
-        let (decoded, used) = rans_decode(&encoded).expect("decode");
+        let (decoded, used) = rans_decode(&encoded);
         prop_assert_eq!(decoded, symbols);
         prop_assert_eq!(used, encoded.len());
-        prop_assert!(encoded.len() < 32, "degenerate stream is {} bytes", encoded.len());
+        prop_assert!(encoded.len() < 64, "degenerate stream is {} bytes", encoded.len());
     }
 
     /// Uniform draw over the full 2^16 alphabet: flat histograms with (at
@@ -129,7 +135,7 @@ proptest! {
     #[test]
     fn rans_uniform_u16_alphabet_roundtrips(symbols in proptest::collection::vec(0u32..65_536, 0..6000)) {
         let encoded = rans_encode(&symbols);
-        let (decoded, used) = rans_decode(&encoded).expect("decode");
+        let (decoded, used) = rans_decode(&encoded);
         prop_assert_eq!(decoded, symbols);
         prop_assert_eq!(used, encoded.len());
     }
@@ -148,14 +154,13 @@ proptest! {
             })
             .collect();
         let encoded = rans_encode(&symbols);
-        let (decoded, used) = rans_decode(&encoded).expect("decode");
+        let (decoded, used) = rans_decode(&encoded);
         prop_assert_eq!(decoded, symbols);
         prop_assert_eq!(used, encoded.len());
     }
 
-    /// The scratch-reusing rANS entry points must emit the exact bytes of
-    /// the fresh-scratch wrappers on arbitrary inputs, and the byte-codec
-    /// pipeline over rANS must invert itself.
+    /// A reused rANS scratch must emit the exact bytes of a fresh one on
+    /// arbitrary inputs, for `u32` symbols and `u8` bytes alike.
     #[test]
     fn rans_scratch_reuse_is_byte_identical_on_arbitrary_streams(
         symbols in proptest::collection::vec(0u32..10_000, 0..4000),
@@ -163,16 +168,35 @@ proptest! {
     ) {
         let mut scratch = RansScratch::new();
         let mut encoded = Vec::new();
-        rans_encode_with(&mut scratch, &symbols, &mut encoded);
+        rans8_encode(&mut scratch, &symbols, &mut encoded);
         prop_assert_eq!(&encoded, &rans_encode(&symbols));
-        let mut decoded = Vec::new();
-        let used = rans_decode_with(&mut scratch, &encoded, &mut decoded).expect("decode");
+        let mut decoded: Vec<u32> = Vec::new();
+        let used = rans8_decode(&mut scratch, &encoded, &mut decoded).expect("decode");
         prop_assert_eq!(decoded, symbols);
         prop_assert_eq!(used, encoded.len());
 
-        let codec = RansCodec;
-        let pipe = codec.encode(&bytes);
-        prop_assert_eq!(codec.decode(&pipe).expect("decode"), bytes);
+        let mut from_bytes = Vec::new();
+        rans8_encode(&mut scratch, &bytes, &mut from_bytes);
+        let mut fresh = Vec::new();
+        rans8_encode(&mut RansScratch::new(), &bytes, &mut fresh);
+        prop_assert_eq!(from_bytes, fresh);
+    }
+
+    /// The byte path (the ZFP container's lossless pass) inverts itself on
+    /// arbitrary bytes, emits the stream of the same values widened to
+    /// `u32`, and that stream decodes into either sink type.
+    #[test]
+    fn rans_byte_streams_roundtrip_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
+        let mut scratch = RansScratch::new();
+        let mut encoded = Vec::new();
+        rans8_encode(&mut scratch, &data, &mut encoded);
+        let widened: Vec<u32> = data.iter().map(|&b| u32::from(b)).collect();
+        prop_assert_eq!(&encoded, &rans_encode(&widened));
+        let mut back: Vec<u8> = Vec::new();
+        let used = rans8_decode(&mut scratch, &encoded, &mut back).expect("decode");
+        prop_assert_eq!(back, data);
+        prop_assert_eq!(used, encoded.len());
+        prop_assert_eq!(rans_decode(&encoded), (widened, encoded.len()));
     }
 
     #[test]
