@@ -20,11 +20,11 @@ use std::str::FromStr;
 /// A `--key value` option whose value does not parse as the type the option
 /// takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError {
+pub(crate) struct CliError {
     /// The option name, without the leading `--`.
-    pub flag: String,
+    flag: String,
     /// The value given on the command line.
-    pub value: String,
+    value: String,
 }
 
 impl std::fmt::Display for CliError {
@@ -32,8 +32,6 @@ impl std::fmt::Display for CliError {
         write!(f, "invalid value {:?} for --{}", self.value, self.flag)
     }
 }
-
-impl std::error::Error for CliError {}
 
 /// Parsed command-line options shared by the figure binaries.
 ///
@@ -82,7 +80,7 @@ impl CliOptions {
     /// Parse an option's value, or return `default` when the option is
     /// absent. A value that does not parse is an error naming the option
     /// and the value.
-    pub fn try_get<T: FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+    pub(crate) fn try_get<T: FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         match self.values.get(name) {
             None => Ok(default),
             Some(value) => {
